@@ -143,15 +143,6 @@ struct RunResult {
   uint32_t reply_crc = 0;   ///< CRC32 of reply payloads in id order
 };
 
-double Percentile(std::vector<double>* sorted_in_place, double p) {
-  if (sorted_in_place->empty()) return 0.0;
-  std::sort(sorted_in_place->begin(), sorted_in_place->end());
-  const size_t idx = std::min(
-      sorted_in_place->size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_in_place->size())));
-  return (*sorted_in_place)[idx];
-}
-
 RunResult RunServe(size_t num_keywords, size_t num_requests, size_t threads,
                    uint64_t budget_bytes, const std::string& spill_dir) {
   RunResult result;
@@ -242,10 +233,10 @@ RunResult RunServe(size_t num_keywords, size_t num_requests, size_t threads,
   result.qps = result.wall_ms > 0.0
                    ? static_cast<double>(num_requests) * 1000.0 / result.wall_ms
                    : 0.0;
-  result.p50_ms = Percentile(&latency_ms, 0.50);
-  result.p99_ms = Percentile(&latency_ms, 0.99);
-  result.forecast_p50_ms = Percentile(&forecast_latency_ms, 0.50);
-  result.forecast_p99_ms = Percentile(&forecast_latency_ms, 0.99);
+  result.p50_ms = bench::Percentile(&latency_ms, 0.50);
+  result.p99_ms = bench::Percentile(&latency_ms, 0.99);
+  result.forecast_p50_ms = bench::Percentile(&forecast_latency_ms, 0.50);
+  result.forecast_p99_ms = bench::Percentile(&forecast_latency_ms, 0.99);
 
   std::vector<uint8_t> digest;
   for (const auto& payload : payloads) {
@@ -431,8 +422,8 @@ NetRunResult RunServeNet(size_t num_keywords, size_t num_requests,
   result.qps = result.wall_ms > 0.0 ? static_cast<double>(num_requests) *
                                           1000.0 / result.wall_ms
                                     : 0.0;
-  result.p50_ms = Percentile(&latency_ms, 0.50);
-  result.p99_ms = Percentile(&latency_ms, 0.99);
+  result.p50_ms = bench::Percentile(&latency_ms, 0.50);
+  result.p99_ms = bench::Percentile(&latency_ms, 0.99);
   result.reply_crc = Crc32(digest.data(), digest.size());
   result.ok = true;
   return result;
@@ -590,7 +581,7 @@ FairnessResult RunFairness(const std::string& spill_dir) {
   std::vector<double> fair_latency = fair_a.latency_ms;
   fair_latency.insert(fair_latency.end(), fair_b.latency_ms.begin(),
                       fair_b.latency_ms.end());
-  result.fair_p99_ms = Percentile(&fair_latency, 0.99);
+  result.fair_p99_ms = bench::Percentile(&fair_latency, 0.99);
   result.ok = true;
   return result;
 }
@@ -652,7 +643,7 @@ int Main(int argc, char** argv) {
   }
 
   // Budget: a tenth of the full model set, so ~90% of keywords live only
-  // as spill files and the workload constantly evicts and reloads.
+  // as spill records and the workload constantly evicts and reloads.
   uint64_t total_bytes = 0;
   for (size_t i = 0; i < num_keywords; ++i) {
     total_bytes += MakeModel(i).ResidentBytes();

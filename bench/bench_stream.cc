@@ -39,15 +39,6 @@ double LmIterations() {
       ObsRegistry::Instance().Snapshot().CounterValue("lm.iterations"));
 }
 
-double Percentile(std::vector<double>* sorted_in_place, double p) {
-  if (sorted_in_place->empty()) return 0.0;
-  std::sort(sorted_in_place->begin(), sorted_in_place->end());
-  const size_t idx = std::min(
-      sorted_in_place->size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted_in_place->size())));
-  return (*sorted_in_place)[idx];
-}
-
 struct RunResult {
   bool ok = false;
   double wall_ms = 0.0;
@@ -156,8 +147,8 @@ RunResult DriveStream(const TickStreamConfig& config, Api& api,
     }
   }
 
-  result.append_p50_us = Percentile(&append_us, 0.50);
-  result.append_p99_us = Percentile(&append_us, 0.99);
+  result.append_p50_us = bench::Percentile(&append_us, 0.50);
+  result.append_p99_us = bench::Percentile(&append_us, 0.99);
   result.lm_iters = LmIterations();
   result.stats = eng.stats();
   result.state = eng.EncodeState();

@@ -182,6 +182,18 @@ Status DurableFile::Sync() {
   return Status::Ok();
 }
 
+Status DurableFile::Truncate(uint64_t new_size) {
+  if (fd_ < 0) {
+    return Status::Internal("DurableFile::Truncate on a closed file: " +
+                            path_);
+  }
+  if (::ftruncate(fd_, static_cast<off_t>(new_size)) != 0) {
+    return ErrnoError("ftruncate", path_, errno);
+  }
+  size_ = new_size;
+  return Status::Ok();
+}
+
 Status DurableFile::Close() {
   if (fd_ < 0) {
     return Status::Ok();

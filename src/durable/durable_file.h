@@ -104,6 +104,10 @@ class DurableFile {
   /// fsync(2). Fails without retry (see RetryPolicy comment).
   Status Sync();
 
+  /// ftruncate(2) to `new_size` bytes, without fsync: drops what a failed
+  /// WriteAll left behind, so the next append starts at `new_size`.
+  Status Truncate(uint64_t new_size);
+
   /// Closes the fd, reporting the close error if any. Idempotent.
   Status Close();
 

@@ -347,7 +347,8 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
           fit = RefitGlobalSequence(data, 0, 1, seed, fit_options);
         } else if (!previous.ok() &&
                    previous.status().code() != StatusCode::kNotFound) {
-          // A corrupt spill file is a real error, not a cold-start case.
+          // An unreadable or corrupt spill record is a real error, not a
+          // cold-start case.
           reply.status = previous.status();
           break;
         }
@@ -398,7 +399,7 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
         reply.status = model.status();
         break;
       }
-      // fit_ticks comes from the spill file, which may be hostile: bound
+      // fit_ticks comes from the spill log, which may be hostile: bound
       // it by the same cap so the sum below cannot overflow.
       if (model->fit_ticks > kServeMaxForecastTicks) {
         reply.status = Status::InvalidArgument(

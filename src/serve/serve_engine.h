@@ -48,7 +48,7 @@ const char* ServeOpName(ServeOp op);
 /// Upper bound on a forecast request's horizon AND on a stored model's
 /// fitted range when forecasting: the simulation buffer spans
 /// `fit_ticks + horizon` ticks, and both operands arrive from untrusted
-/// bytes (the wire frame and the spill file respectively), so without a
+/// bytes (the wire frame and the spill log respectively), so without a
 /// cap a single hostile request could wrap the sum past SIZE_MAX (an
 /// out-of-bounds iterator — UB) or demand a near-2^64-byte allocation.
 /// 4Mi ticks keeps the worst-case curve at 64 MiB and the reply payload

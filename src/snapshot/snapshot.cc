@@ -823,47 +823,6 @@ StatusOr<ModelSnapshot> ParseJsonSnapshot(const std::string& text,
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// File I/O
-// ---------------------------------------------------------------------------
-
-StatusOr<ModelSnapshot> LoadBinarySnapshot(const std::string& bytes,
-                                           const std::string& path) {
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path +
-                                   ": not a dspot snapshot (bad magic)");
-  }
-  ByteReader r(data + sizeof(kMagic), bytes.size() - sizeof(kMagic),
-               path);
-  DSPOT_ASSIGN_OR_RETURN(uint32_t version, r.GetU32());
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument(
-        path + ": unsupported snapshot version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kSnapshotVersion) +
-        ")");
-  }
-  DSPOT_ASSIGN_OR_RETURN(
-      uint64_t payload_len,
-      r.GetCount(r.remaining() > 4 ? r.remaining() - 4 : 0,
-                 "payload length"));
-  const size_t payload_off = sizeof(kMagic) + r.offset();
-  const uint8_t* payload = data + payload_off;
-  ByteReader trailer(payload + payload_len,
-                     bytes.size() - payload_off - payload_len, path);
-  DSPOT_ASSIGN_OR_RETURN(uint32_t stored_crc, trailer.GetU32());
-  const uint32_t crc = Crc32(payload, payload_len);
-  if (crc != stored_crc) {
-    return Status::DataLoss(path + ": offset " + std::to_string(payload_off) +
-                            ": payload checksum mismatch (stored " +
-                            std::to_string(stored_crc) + ", computed " +
-                            std::to_string(crc) + ")");
-  }
-  ByteReader payload_reader(payload, payload_len, path);
-  return DecodeSnapshotPayload(&payload_reader);
-}
-
 }  // namespace
 
 ModelSnapshot MakeSnapshot(const DspotResult& result,
@@ -889,6 +848,45 @@ std::vector<uint8_t> EncodeSnapshotFile(const ModelSnapshot& snapshot) {
   file.PutBytes(payload.data(), payload.size());
   file.PutU32(Crc32(payload.data(), payload.size()));
   return std::move(file).TakeBytes();
+}
+
+StatusOr<ModelSnapshot> DecodeSnapshotFile(const uint8_t* data, size_t size,
+                                           const std::string& context) {
+  if (size < sizeof(kMagic) ||
+      std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument(context +
+                                   ": not a dspot snapshot (bad magic)");
+  }
+  ByteReader r(data + sizeof(kMagic), size - sizeof(kMagic), context);
+  DSPOT_ASSIGN_OR_RETURN(uint32_t version, r.GetU32());
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument(
+        context + ": unsupported snapshot version " +
+        std::to_string(version) + " (this build reads version " +
+        std::to_string(kSnapshotVersion) + ")");
+  }
+  // The cap leaves room for the 8-byte length itself and the 4-byte CRC
+  // trailer: a cap taken before the length is read would let a payload
+  // overrun the buffer by up to 4 bytes.
+  DSPOT_ASSIGN_OR_RETURN(
+      uint64_t payload_len,
+      r.GetCount(r.remaining() > 12 ? r.remaining() - 12 : 0,
+                 "payload length"));
+  const size_t payload_off = sizeof(kMagic) + r.offset();
+  const uint8_t* payload = data + payload_off;
+  ByteReader trailer(payload + payload_len, size - payload_off - payload_len,
+                     context);
+  DSPOT_ASSIGN_OR_RETURN(uint32_t stored_crc, trailer.GetU32());
+  const uint32_t crc = Crc32(payload, payload_len);
+  if (crc != stored_crc) {
+    return Status::DataLoss(context + ": offset " +
+                            std::to_string(payload_off) +
+                            ": payload checksum mismatch (stored " +
+                            std::to_string(stored_crc) + ", computed " +
+                            std::to_string(crc) + ")");
+  }
+  ByteReader payload_reader(payload, payload_len, context);
+  return DecodeSnapshotPayload(&payload_reader);
 }
 
 Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path,
@@ -924,12 +922,16 @@ StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path) {
   if (!is) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is && !is.eof()) {
+  // Read in chunks: sizing the buffer by seeking to the end would trust
+  // the length a directory (huge) or a /proc file (0) reports.
+  std::string bytes;
+  char chunk[16384];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+    bytes.append(chunk, static_cast<size_t>(is.gcount()));
+  }
+  if (is.bad()) {
     return Status::IoError("read failed: " + path);
   }
-  const std::string bytes = buf.str();
   if (bytes.empty()) {
     return Status::InvalidArgument(path + ": empty file");
   }
@@ -939,7 +941,8 @@ StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path) {
       path + ": not a dspot snapshot (unrecognized leading bytes)");
   if (bytes.size() >= sizeof(kMagic) &&
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0) {
-    loaded = LoadBinarySnapshot(bytes, path);
+    loaded = DecodeSnapshotFile(reinterpret_cast<const uint8_t*>(bytes.data()),
+                                bytes.size(), path);
   } else if (bytes[0] == '{') {
     loaded = ParseJsonSnapshot(bytes, path);
   }

@@ -76,10 +76,17 @@ std::vector<uint8_t> EncodeSnapshotPayload(const ModelSnapshot& snapshot);
 
 /// The complete binary-file bytes of `snapshot` — magic, version, length,
 /// payload, CRC-32 — i.e. exactly what SaveSnapshot(kBinary) writes. For
-/// callers that own the write path themselves (the serve registry writes
-/// cache spill files without per-file fsync; a crash merely loses a
-/// rebuildable cache entry).
+/// callers that own the write path themselves: the serve registry stores
+/// this image unchanged as the body of each spill-log record.
 std::vector<uint8_t> EncodeSnapshotFile(const ModelSnapshot& snapshot);
+
+/// The inverse of EncodeSnapshotFile: decodes a binary snapshot image held
+/// in memory, with LoadSnapshot's error contract (bad magic or a future
+/// version is InvalidArgument; truncation, a checksum mismatch or an
+/// impossible value is DataLoss). `context` prefixes every error (a path,
+/// or a path plus the image's offset inside a larger file).
+StatusOr<ModelSnapshot> DecodeSnapshotFile(const uint8_t* data, size_t size,
+                                           const std::string& context);
 
 }  // namespace dspot
 

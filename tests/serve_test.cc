@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -23,9 +27,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/global_fit.h"
+#include "guard/fault_injector.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
 #include "snapshot/snapshot.h"
+#include "timeseries/series.h"
 
 namespace dspot {
 namespace {
@@ -72,6 +79,43 @@ ServedModel MakeModel(const std::string& keyword, double seed) {
   return ::testing::AssertionFailure()
          << "models '" << a.keyword << "' and '" << b.keyword
          << "' differ at the bit level";
+}
+
+std::string LogPathIn(const std::string& dir) {
+  return dir + "/" + kSpillLogName;
+}
+
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+void AppendBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::app);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(os.good()) << path;
+}
+
+void FlipByte(const std::string& path, uint64_t offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(offset));
+  const char c = static_cast<char>(f.get());
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(static_cast<char>(c ^ 0x5A));
+  ASSERT_TRUE(f.good()) << path;
+}
+
+/// The size of `model`'s spill-log record.
+uint64_t RecordBytes(const ServedModel& model) {
+  return EncodeSpillRecord(model.keyword,
+                           EncodeSnapshotFile(model.ToSnapshot()))
+      .size();
 }
 
 /// A deterministic activity series for engine tests (short, so cold fits
@@ -194,38 +238,68 @@ TEST(ModelRegistry, SpillSurvivesRegistryRestart) {
   EXPECT_TRUE(SameModelBits(model, *got));
 }
 
-TEST(ModelRegistry, SpillPathSanitizesHostileKeywords) {
+// Keywords never become file names: the spill directory holds one log
+// whatever the keywords, so a hostile keyword cannot escape it, and
+// keywords that differ only in bytes a filename mapping would fold or
+// escape stay distinct.
+TEST(ModelRegistry, HostileKeywordsRoundTripWithoutNamingAFile) {
   RegistryOptions options;
-  options.spill_dir = TempDirFor("registry_sanitize");
+  options.num_shards = 1;
+  options.max_resident_bytes = 1;  // cache-of-one: every Get below reloads
+  options.spill_dir = TempDirFor("registry_hostile");
   ModelRegistry registry(options);
-  const std::string hostile = "../etc passwd/..";
-  const std::string path = registry.SpillPath(hostile);
-  // Everything after the spill dir must be a single path component.
-  const std::string tail = path.substr(options.spill_dir.size() + 1);
-  EXPECT_EQ(tail.find('/'), std::string::npos) << path;
-  EXPECT_EQ(tail.find(' '), std::string::npos) << path;
-  // And distinct hostile keywords must not collide.
-  EXPECT_NE(registry.SpillPath("a/b"), registry.SpillPath("a_b"));
-  EXPECT_NE(registry.SpillPath("a/b"), registry.SpillPath("a%2Fb"));
-  const ServedModel model = MakeModel(hostile, 1.0);
-  ASSERT_TRUE(registry.Put(model).ok());
-  auto got = registry.Get(hostile);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_TRUE(SameModelBits(model, *got));
+  const std::vector<std::string> keywords = {
+      "../etc passwd/..", "a/b", "a_b", "a%2Fb", std::string("nul\0byte", 8)};
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    ASSERT_TRUE(
+        registry.Put(MakeModel(keywords[i], static_cast<double>(i))).ok());
+  }
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    auto got = registry.Get(keywords[i]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(
+        SameModelBits(MakeModel(keywords[i], static_cast<double>(i)), *got));
+  }
+  EXPECT_EQ(FilesIn(options.spill_dir),
+            std::vector<std::string>{kSpillLogName});
+  EXPECT_FALSE(std::filesystem::exists(options.spill_dir + "/../etc passwd"));
+}
+
+// Case variants are distinct keywords: on a case-insensitive filesystem
+// per-keyword files could share a name, a single log cannot.
+TEST(ModelRegistry, CaseVariantKeywordsRoundTripIndependently) {
+  RegistryOptions options;
+  options.num_shards = 1;
+  options.max_resident_bytes = 1;
+  options.spill_dir = TempDirFor("registry_case");
+  ModelRegistry registry(options);
+  const std::vector<std::string> keywords = {"Foo", "foo", "FOO",
+                                             "grammy A", "grammy a"};
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    ASSERT_TRUE(
+        registry.Put(MakeModel(keywords[i], static_cast<double>(i))).ok());
+  }
+  for (size_t i = 0; i < keywords.size(); ++i) {
+    auto got = registry.Get(keywords[i]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(
+        SameModelBits(MakeModel(keywords[i], static_cast<double>(i)), *got));
+  }
+  EXPECT_EQ(FilesIn(options.spill_dir),
+            std::vector<std::string>{kSpillLogName});
 }
 
 // Regression (PR 9): reloading a snapshot whose keyword set differs from
-// the requester's view must locate the keyword BY NAME. A stale or
-// reorganized spill file stores the same keyword under a different index;
+// the requester's view must locate the keyword BY NAME. A planted or
+// reorganized record stores the same keyword under a different index;
 // trusting the stored index silently serves another keyword's model.
 TEST(ModelRegistry, ReloadRemapsKeywordIdsByNameNotByStoredIndex) {
   RegistryOptions options;
   options.spill_dir = TempDirFor("registry_remap");
-  ModelRegistry registry(options);
+  { ModelRegistry creates_the_log(options); }
 
   // A three-keyword batch snapshot where "target" sits at index 2 with
-  // distinctive parameters, planted at the spill path the registry will
-  // consult for "target".
+  // distinctive parameters, planted as "target"'s record.
   ModelSnapshot batch;
   batch.params.num_keywords = 3;
   batch.params.num_locations = 0;
@@ -244,8 +318,10 @@ TEST(ModelRegistry, ReloadRemapsKeywordIdsByNameNotByStoredIndex) {
   }
   batch.keywords = {"decoy0", "decoy1", "target"};
   batch.global_rmse = {1.0, 2.0, 3.0};
-  ASSERT_TRUE(SaveSnapshot(batch, registry.SpillPath("target")).ok());
+  AppendBytes(LogPathIn(options.spill_dir),
+              EncodeSpillRecord("target", EncodeSnapshotFile(batch)));
 
+  ModelRegistry registry(options);
   auto got = registry.Get("target");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   // Index-2 parameters, not index-0's.
@@ -260,75 +336,312 @@ TEST(ModelRegistry, ReloadRemapsKeywordIdsByNameNotByStoredIndex) {
   EXPECT_EQ(got->shocks[0].base_strength, 3.0);
 }
 
+// A record filed under one keyword whose image holds another is corrupt:
+// DataLoss, not NotFound, which would read as "never Put" and let a refit
+// cold-start over it.
 TEST(ModelRegistry, ReloadRejectsSnapshotWithoutTheKeyword) {
   RegistryOptions options;
   options.spill_dir = TempDirFor("registry_wrong_keyword");
+  { ModelRegistry creates_the_log(options); }
+  AppendBytes(LogPathIn(options.spill_dir),
+              EncodeSpillRecord("wanted", EncodeSnapshotFile(
+                                              MakeModel("other", 1.0)
+                                                  .ToSnapshot())));
   ModelRegistry registry(options);
-  // A valid snapshot for some OTHER keyword, planted at "wanted"'s path.
-  ModelSnapshot other = MakeModel("other", 1.0).ToSnapshot();
-  ASSERT_TRUE(SaveSnapshot(other, registry.SpillPath("wanted")).ok());
   auto got = registry.Get("wanted");
   ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(got.status().message().find("wanted"), std::string::npos);
+  EXPECT_NE(got.status().message().find(LogPathIn(options.spill_dir)),
+            std::string::npos);
 }
 
 TEST(ModelRegistry, ReloadSurfacesCorruptSpillAsDataLoss) {
   RegistryOptions options;
+  options.num_shards = 1;
+  options.max_resident_bytes = 1;
   options.spill_dir = TempDirFor("registry_corrupt");
   ModelRegistry registry(options);
-  const std::string path = registry.SpillPath("broken");
-  ASSERT_TRUE(SaveSnapshot(MakeModel("broken", 1.0).ToSnapshot(), path).ok());
-  // Flip one payload byte; the CRC must catch it on reload.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(20);
-  f.put(static_cast<char>(0x5A));
-  f.close();
+  const ServedModel broken = MakeModel("broken", 1.0);
+  const ServedModel evictor = MakeModel("evictor", 2.0);
+  ASSERT_TRUE(registry.Put(broken).ok());
+  ASSERT_TRUE(registry.Put(evictor).ok());
+  ASSERT_FALSE(registry.Resident("broken"));
+  // Flip one byte inside "broken"'s snapshot payload, behind the
+  // registry; the image CRC must catch it on reload.
+  const std::string log = LogPathIn(options.spill_dir);
+  const uint64_t offset = std::filesystem::file_size(log) -
+                          RecordBytes(evictor) - RecordBytes(broken);
+  FlipByte(log, offset + RecordBytes(broken) - 12);
   auto got = registry.Get("broken");
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(got.status().message().find(path), std::string::npos);
+  EXPECT_NE(got.status().message().find(log), std::string::npos)
+      << got.status().ToString();
+  EXPECT_NE(
+      got.status().message().find("offset " + std::to_string(offset)),
+      std::string::npos)
+      << got.status().ToString();
 }
 
-// Regression (review): spill filenames must stay distinct after case
-// folding — on case-insensitive filesystems (macOS/Windows defaults) a
-// mapping that passes uppercase letters through verbatim lets 'Foo' and
-// 'foo' share one file, so a Put of either clobbers the other's spill
-// and a post-eviction Get reports NotFound.
-TEST(ModelRegistry, SpillFilenamesSurviveCaseFolding) {
+// The log's layout depends on neither the shard count nor std::hash, so a
+// registry reopened with a different num_shards finds every model.
+TEST(ModelRegistry, RestartWithADifferentShardCountFindsEveryModel) {
   RegistryOptions options;
-  options.spill_dir = TempDirFor("registry_case");
-  ModelRegistry registry(options);
-  const auto folded = [](std::string s) {
-    for (char& c : s) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  options.num_shards = 4;
+  options.max_resident_bytes = 1;
+  options.spill_dir = TempDirFor("registry_reshard");
+  constexpr int kModels = 20;
+  {
+    ModelRegistry registry(options);
+    for (int i = 0; i < kModels; ++i) {
+      ASSERT_TRUE(
+          registry.Put(MakeModel("kw" + std::to_string(i), i)).ok());
     }
-    return s;
-  };
-  EXPECT_NE(folded(registry.SpillPath("Foo")),
-            folded(registry.SpillPath("foo")));
-  EXPECT_NE(folded(registry.SpillPath("FOO")),
-            folded(registry.SpillPath("Foo")));
-  EXPECT_NE(folded(registry.SpillPath("grammy A")),
-            folded(registry.SpillPath("grammy a")));
-  // Both case variants of a keyword round-trip independently.
-  const ServedModel upper = MakeModel("Foo", 1.0);
-  const ServedModel lower = MakeModel("foo", 2.0);
-  ASSERT_TRUE(registry.Put(upper).ok());
-  ASSERT_TRUE(registry.Put(lower).ok());
-  auto got_upper = registry.Get("Foo");
-  auto got_lower = registry.Get("foo");
-  ASSERT_TRUE(got_upper.ok()) << got_upper.status().ToString();
-  ASSERT_TRUE(got_lower.ok()) << got_lower.status().ToString();
-  EXPECT_TRUE(SameModelBits(upper, *got_upper));
-  EXPECT_TRUE(SameModelBits(lower, *got_lower));
+  }
+  options.num_shards = 7;
+  ModelRegistry reborn(options);
+  for (int i = 0; i < kModels; ++i) {
+    const std::string keyword = "kw" + std::to_string(i);
+    auto got = reborn.Get(keyword);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(SameModelBits(MakeModel(keyword, i), *got));
+  }
+  EXPECT_EQ(reborn.stats().reloads, static_cast<uint64_t>(kModels));
 }
 
-// Regression (review): Put spills under the shard lock through a temp
-// file + rename, so a concurrent Get miss on the same keyword can never
-// read a half-written spill file (a torn file surfaces as DataLoss,
-// which kRefit treats as a hard error), and racing Puts leave the
-// resident model and its spill file agreeing on one winner.
+// A crash mid-append leaves a partial last record. Opening the registry
+// drops it and keeps every complete record; appends resume after them.
+TEST(ModelRegistry, TornTailIsTruncatedAtOpen) {
+  RegistryOptions options;
+  options.spill_dir = TempDirFor("registry_torn_tail");
+  const std::string log = LogPathIn(options.spill_dir);
+  const ServedModel a = MakeModel("a", 1.0);
+  const ServedModel b = MakeModel("b", 2.0);
+  const ServedModel c = MakeModel("c", 3.0);
+  {
+    ModelRegistry registry(options);
+    ASSERT_TRUE(registry.Put(a).ok());
+    ASSERT_TRUE(registry.Put(b).ok());
+  }
+  const uint64_t complete = std::filesystem::file_size(log);
+  const std::vector<uint8_t> record =
+      EncodeSpillRecord("c", EncodeSnapshotFile(c.ToSnapshot()));
+  for (const size_t torn : {size_t{5}, size_t{12}, record.size() / 2,
+                            record.size() - 1}) {
+    AppendBytes(log, std::vector<uint8_t>(record.begin(),
+                                          record.begin() + torn));
+    ModelRegistry reopened(options);
+    ASSERT_TRUE(reopened.open_status().ok())
+        << reopened.open_status().ToString();
+    EXPECT_EQ(std::filesystem::file_size(log), complete) << "tail " << torn;
+    auto got_a = reopened.Get("a");
+    auto got_b = reopened.Get("b");
+    ASSERT_TRUE(got_a.ok()) << got_a.status().ToString();
+    ASSERT_TRUE(got_b.ok()) << got_b.status().ToString();
+    EXPECT_TRUE(SameModelBits(a, *got_a));
+    EXPECT_TRUE(SameModelBits(b, *got_b));
+    EXPECT_EQ(reopened.Get("c").status().code(), StatusCode::kNotFound);
+  }
+  {
+    ModelRegistry registry(options);
+    ASSERT_TRUE(registry.Put(c).ok());
+  }
+  ModelRegistry reborn(options);
+  auto got_c = reborn.Get("c");
+  ASSERT_TRUE(got_c.ok()) << got_c.status().ToString();
+  EXPECT_TRUE(SameModelBits(c, *got_c));
+}
+
+// Rewriting keywords makes dead records; once they outweigh the live
+// ones a Put compacts the log. Models stay bit-identical through every
+// compaction and a restart, and the log never exceeds twice the live
+// bytes plus the record being appended.
+TEST(ModelRegistry, CompactionKeepsModelsAndBoundsTheLog) {
+  RegistryOptions options;
+  options.num_shards = 3;
+  options.max_resident_bytes = 2 * MakeModel("kw0", 0.0).ResidentBytes();
+  options.spill_dir = TempDirFor("registry_compact");
+  const std::string log = LogPathIn(options.spill_dir);
+  std::map<std::string, ServedModel> latest;
+  {
+    ModelRegistry registry(options);
+    for (int round = 0; round < 20; ++round) {
+      for (int k = 0; k < 6; ++k) {
+        const std::string keyword = "kw" + std::to_string(k);
+        const ServedModel model = MakeModel(keyword, round * 10.0 + k);
+        ASSERT_TRUE(registry.Put(model).ok());
+        latest.insert_or_assign(keyword, model);
+        uint64_t live = 0;
+        for (const auto& [name, m] : latest) {
+          live += RecordBytes(m);
+        }
+        EXPECT_LE(std::filesystem::file_size(log),
+                  2 * live + RecordBytes(model))
+            << "round " << round << " keyword " << keyword;
+      }
+    }
+    for (const auto& [keyword, model] : latest) {
+      auto got = registry.Get(keyword);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(SameModelBits(model, *got)) << keyword;
+    }
+  }
+  EXPECT_EQ(FilesIn(options.spill_dir),
+            std::vector<std::string>{kSpillLogName});
+  ModelRegistry reborn(options);
+  for (const auto& [keyword, model] : latest) {
+    auto got = reborn.Get(keyword);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(SameModelBits(model, *got)) << keyword;
+  }
+}
+
+// A full disk fails the Put and changes nothing: the keyword's previous
+// model still reloads, and the log still scans after a restart.
+TEST(ModelRegistry, AppendFailureKeepsThePreviousModel) {
+  RegistryOptions options;
+  options.num_shards = 1;
+  options.max_resident_bytes = 1;
+  options.spill_dir = TempDirFor("registry_enospc");
+  const std::string log = LogPathIn(options.spill_dir);
+  const ServedModel v1 = MakeModel("kw", 1.0);
+  {
+    ModelRegistry registry(options);
+    ASSERT_TRUE(registry.Put(v1).ok());
+    ASSERT_TRUE(registry.Put(MakeModel("other", 5.0)).ok());
+    const uint64_t size = std::filesystem::file_size(log);
+    FaultInjector::Instance().ArmSite(FaultSite::kIoNoSpace, 0x5eed, 1.0);
+    const Status failed = registry.Put(MakeModel("kw", 2.0));
+    const Status fresh = registry.Put(MakeModel("fresh", 3.0));
+    FaultInjector::Instance().Disarm();
+    EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+    EXPECT_NE(failed.message().find(log), std::string::npos)
+        << failed.ToString();
+    EXPECT_EQ(fresh.code(), StatusCode::kIoError) << fresh.ToString();
+    EXPECT_EQ(std::filesystem::file_size(log), size);
+    auto got = registry.Get("kw");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(SameModelBits(v1, *got));
+    EXPECT_EQ(registry.Get("fresh").status().code(), StatusCode::kNotFound);
+  }
+  ModelRegistry reborn(options);
+  auto got = reborn.Get("kw");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(SameModelBits(v1, *got));
+  EXPECT_TRUE(reborn.Get("other").ok());
+}
+
+// A compaction that fails (here at the rename) leaves the old log serving
+// every model and no temp file behind; the Puts that triggered it succeed.
+TEST(ModelRegistry, FailedCompactionKeepsTheOldLogServing) {
+  RegistryOptions options;
+  options.num_shards = 1;
+  options.max_resident_bytes = 1;
+  options.spill_dir = TempDirFor("registry_compact_fail");
+  const std::string log = LogPathIn(options.spill_dir);
+  const ServedModel b = MakeModel("b", 0.5);
+  {
+    ModelRegistry registry(options);
+    ASSERT_TRUE(registry.Put(MakeModel("a", 0.0)).ok());
+    ASSERT_TRUE(registry.Put(b).ok());
+    FaultInjector::Instance().ArmSite(FaultSite::kIoRenameFailure, 0x5eed,
+                                      1.0);
+    for (int i = 1; i <= 10; ++i) {
+      EXPECT_TRUE(registry.Put(MakeModel("a", i)).ok());
+    }
+    const uint64_t attempts =
+        FaultInjector::Instance().fired(FaultSite::kIoRenameFailure);
+    FaultInjector::Instance().Disarm();
+    EXPECT_GT(attempts, 0u) << "no compaction was attempted";
+    // After a failure the next attempt waits until the log has doubled,
+    // instead of rewriting every live record on each of the eight Puts
+    // that found dead bytes outweighing live ones.
+    EXPECT_LE(attempts, 2u);
+    // Without a compaction the log holds all twelve records.
+    EXPECT_GT(std::filesystem::file_size(log),
+              2 * (RecordBytes(MakeModel("a", 10.0)) + RecordBytes(b)));
+    EXPECT_EQ(FilesIn(options.spill_dir),
+              std::vector<std::string>{kSpillLogName});
+    auto got_a = registry.Get("a");
+    auto got_b = registry.Get("b");
+    ASSERT_TRUE(got_a.ok()) << got_a.status().ToString();
+    ASSERT_TRUE(got_b.ok()) << got_b.status().ToString();
+    EXPECT_TRUE(SameModelBits(MakeModel("a", 10.0), *got_a));
+    EXPECT_TRUE(SameModelBits(b, *got_b));
+  }
+  ModelRegistry reborn(options);
+  auto got_a = reborn.Get("a");
+  ASSERT_TRUE(got_a.ok()) << got_a.status().ToString();
+  EXPECT_TRUE(SameModelBits(MakeModel("a", 10.0), *got_a));
+}
+
+// durable_spill fsyncs the log before Put returns: a failing fsync fails
+// the Put and leaves the previous model serving. Compaction and restart
+// work the same as without it.
+TEST(ModelRegistry, DurableSpillSyncsBeforePutReturns) {
+  RegistryOptions options;
+  options.num_shards = 1;
+  options.max_resident_bytes = 1;
+  options.durable_spill = true;
+  options.spill_dir = TempDirFor("registry_durable");
+  const ServedModel v1 = MakeModel("kw", 1.0);
+  const ServedModel other = MakeModel("other", 9.0);
+  {
+    ModelRegistry registry(options);
+    ASSERT_TRUE(registry.Put(v1).ok());
+    ASSERT_TRUE(registry.Put(other).ok());
+    FaultInjector::Instance().ArmExact(FaultSite::kIoFsyncFailure, 0);
+    const Status failed = registry.Put(MakeModel("kw", 2.0));
+    FaultInjector::Instance().Disarm();
+    EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+    auto got = registry.Get("kw");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(SameModelBits(v1, *got));
+    // Enough rewrites of one keyword to compact the log.
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(registry.Put(MakeModel("kw", 10.0 + i)).ok());
+    }
+    EXPECT_LE(std::filesystem::file_size(LogPathIn(options.spill_dir)),
+              3 * (RecordBytes(v1) + RecordBytes(other)));
+  }
+  ModelRegistry reborn(options);
+  auto got = reborn.Get("kw");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(SameModelBits(MakeModel("kw", 15.0), *got));
+  auto got_other = reborn.Get("other");
+  ASSERT_TRUE(got_other.ok()) << got_other.status().ToString();
+  EXPECT_TRUE(SameModelBits(other, *got_other));
+}
+
+// One registry at a time owns a spill directory: a second one opened over
+// it reports the lock and refuses to write, leaving the first unharmed.
+TEST(ModelRegistry, SecondRegistryOnTheSameSpillDirIsRefused) {
+  RegistryOptions options;
+  options.spill_dir = TempDirFor("registry_locked");
+  ModelRegistry first(options);
+  ASSERT_TRUE(first.open_status().ok()) << first.open_status().ToString();
+  ASSERT_TRUE(first.Put(MakeModel("a", 1.0)).ok());
+  {
+    ModelRegistry second(options);
+    EXPECT_EQ(second.open_status().code(), StatusCode::kFailedPrecondition)
+        << second.open_status().ToString();
+    EXPECT_EQ(second.Put(MakeModel("b", 2.0)).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(second.Get("a").status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+  auto got = first.Get("a");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(SameModelBits(MakeModel("a", 1.0), *got));
+}
+
+// Regression (review): Put appends under the shard lock, so a concurrent
+// Get miss on the same keyword never reads a half-written record (a torn
+// record surfaces as DataLoss, which kRefit treats as a hard error), and
+// racing Puts leave the resident model and the index agreeing on one
+// winner. Every rewrite of "hot" leaves a dead record, so the writer also
+// drives a compaction every few Puts while the reader reloads.
 TEST(ModelRegistry, ConcurrentPutAndReloadNeverObserveTornSpill) {
   RegistryOptions options;
   options.num_shards = 1;
@@ -342,7 +655,7 @@ TEST(ModelRegistry, ConcurrentPutAndReloadNeverObserveTornSpill) {
   std::thread writer([&] {
     for (int i = 1; i <= 100; ++i) {
       // The evictor Put pushes "hot" out, forcing the reader onto the
-      // reload-from-disk path while "hot" is being rewritten.
+      // reload-from-log path while "hot" is being rewritten.
       if (!registry.Put(MakeModel("hot", static_cast<double>(i))).ok() ||
           !registry.Put(MakeModel("evictor", 0.5)).ok()) {
         writer_failed.store(true);
@@ -362,12 +675,18 @@ TEST(ModelRegistry, ConcurrentPutAndReloadNeverObserveTornSpill) {
   reader.join();
   EXPECT_FALSE(writer_failed.load());
   EXPECT_FALSE(reader_failed.load()) << "Get observed a torn or missing "
-                                        "spill during concurrent Puts";
-  // The temp files behind the atomic spill writes never leak.
-  for (const auto& entry :
-       std::filesystem::directory_iterator(options.spill_dir)) {
-    EXPECT_EQ(entry.path().extension(), ".dspotsnp") << entry.path();
-  }
+                                        "record during concurrent Puts";
+  auto got = registry.Get("hot");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(SameModelBits(MakeModel("hot", 100.0), *got));
+  // Compactions kept the log near its two live records, and their temp
+  // files never leak.
+  const uint64_t live = RecordBytes(MakeModel("hot", 100.0)) +
+                        RecordBytes(MakeModel("evictor", 0.5));
+  EXPECT_LE(std::filesystem::file_size(LogPathIn(options.spill_dir)),
+            3 * live);
+  EXPECT_EQ(FilesIn(options.spill_dir),
+            std::vector<std::string>{kSpillLogName});
 }
 
 // ---------------------------------------------------------------------------
@@ -487,6 +806,149 @@ TEST(ServeEngine, RefitWarmStartsAndFallsBackToCold) {
   stored = registry.Get("meme");
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(stored->fit_ticks, 48u);
+}
+
+/// For its scope, lowers the soft RLIMIT_NOFILE and fills the descriptor
+/// table up to it, so any open() fails with EMFILE.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0) {
+      return;
+    }
+    rlimit low = saved_;
+    low.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 256);
+    if (::setrlimit(RLIMIT_NOFILE, &low) != 0) {
+      return;
+    }
+    restore_ = true;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        exhausted_ = errno == EMFILE;
+        break;
+      }
+      fds_.push_back(fd);
+    }
+  }
+  ~FdExhaustion() {
+    for (const int fd : fds_) {
+      ::close(fd);
+    }
+    if (restore_) {
+      ::setrlimit(RLIMIT_NOFILE, &saved_);
+    }
+  }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+  bool exhausted() const { return exhausted_; }
+
+ private:
+  rlimit saved_{};
+  bool restore_ = false;
+  bool exhausted_ = false;
+  std::vector<int> fds_;
+};
+
+// Regression: a reload used to open the model's spill file, and every
+// failure to open — EMFILE included — read as "never Put". A server at its
+// descriptor limit then answered NotFound for stored models, and a refit
+// cold-fitted over the warm model. Reloads now read from the log's open
+// descriptor, so a refit under EMFILE warm-starts exactly as it would
+// with descriptors to spare.
+TEST(ServeEngine, RefitWarmStartsWhenDescriptorsAreExhausted) {
+  RegistryOptions registry_options;
+  registry_options.num_shards = 1;
+  registry_options.max_resident_bytes = 1;
+  registry_options.spill_dir = TempDirFor("serve_emfile");
+  ModelRegistry registry(registry_options);
+  ServeOptions options;
+  options.num_threads = 1;
+  ServeEngine engine(&registry, options);
+
+  ServeRequest fit;
+  fit.id = 1;
+  fit.op = ServeOp::kFit;
+  fit.keyword = "meme";
+  fit.values = TestSeries(64, 0.5);
+  ASSERT_TRUE(engine.Call(fit).status.ok());
+  auto fitted = registry.Get("meme");
+  ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+  ServeRequest refit = fit;
+  refit.id = 2;
+  refit.op = ServeOp::kRefit;
+  refit.values = TestSeries(80, 0.5);
+  // What a warm start from the stored model must produce.
+  auto expected = RefitGlobalSequence(Series(std::vector<double>(refit.values)),
+                                      0, 1, fitted->ToWarmStart(),
+                                      options.fit);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  ServeReply warm;
+  {
+    ASSERT_TRUE(registry.Put(MakeModel("evictor", 1.0)).ok());
+    ASSERT_FALSE(registry.Resident("meme"));
+    const FdExhaustion no_fds;
+    ASSERT_TRUE(no_fds.exhausted());
+    auto reloaded = registry.Get("meme");
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_TRUE(SameModelBits(*fitted, *reloaded));
+    ASSERT_TRUE(registry.Put(MakeModel("evictor", 2.0)).ok());
+    ASSERT_FALSE(registry.Resident("meme"));
+    warm = engine.Call(refit);
+  }
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_EQ(warm.rmse, expected->rmse);
+  EXPECT_EQ(warm.cost_bits, expected->cost_bits);
+  auto stored = registry.Get("meme");
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_EQ(stored->fit_ticks, 80u);
+  EXPECT_EQ(stored->params.beta, expected->params.beta);
+  EXPECT_EQ(stored->params.population, expected->params.population);
+}
+
+// A record the log no longer holds (truncated behind the registry) is a
+// located DataLoss, and a refit of its keyword replies with that error
+// instead of cold-fitting over the model.
+TEST(ServeEngine, RefitOfATruncatedRecordRepliesDataLoss) {
+  RegistryOptions registry_options;
+  registry_options.num_shards = 1;
+  registry_options.max_resident_bytes = 1;
+  registry_options.spill_dir = TempDirFor("serve_truncated_log");
+  ModelRegistry registry(registry_options);
+  ServeOptions options;
+  options.num_threads = 1;
+  ServeEngine engine(&registry, options);
+  const ServedModel meme = MakeModel("meme", 1.0);
+  const ServedModel evictor = MakeModel("evictor", 2.0);
+  ASSERT_TRUE(registry.Put(meme).ok());
+  ASSERT_TRUE(registry.Put(evictor).ok());
+  ASSERT_FALSE(registry.Resident("meme"));
+  const std::string log = LogPathIn(registry_options.spill_dir);
+  const uint64_t offset = std::filesystem::file_size(log) -
+                          RecordBytes(evictor) - RecordBytes(meme);
+  std::filesystem::resize_file(log, offset + RecordBytes(meme) / 2);
+
+  auto got = registry.Get("meme");
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(got.status().message().find(log), std::string::npos)
+      << got.status().ToString();
+  EXPECT_NE(
+      got.status().message().find("offset " + std::to_string(offset)),
+      std::string::npos)
+      << got.status().ToString();
+
+  ServeRequest refit;
+  refit.id = 1;
+  refit.op = ServeOp::kRefit;
+  refit.keyword = "meme";
+  refit.values = TestSeries(80, 0.5);
+  const ServeReply reply = engine.Call(refit);
+  EXPECT_EQ(reply.status.code(), StatusCode::kDataLoss)
+      << reply.status.ToString();
+  EXPECT_FALSE(registry.Resident("meme"));
 }
 
 TEST(ServeEngine, ShedsOldestRequestWhenQueueOverflows) {
@@ -821,7 +1283,7 @@ TEST(ServeEngine, ForecastRejectsOverflowingHorizon) {
 }
 
 // The other operand of `fit_ticks + horizon` arrives from the spill
-// file, which may be hostile: an absurd stored fit range is rejected by
+// log, which may be hostile: an absurd stored fit range is rejected by
 // the same cap instead of overflowing the sum.
 TEST(ServeEngine, ForecastRejectsOverlongStoredModel) {
   ModelRegistry registry(RegistryOptions{});

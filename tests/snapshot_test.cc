@@ -354,6 +354,16 @@ TEST(Snapshot, LoadReportsMissingFile) {
             std::string::npos);
 }
 
+// A directory is not sized by seeking to its end (ext4 reports a huge
+// offset there): the load fails cleanly instead of allocating it.
+TEST(Snapshot, LoadOfADirectoryIsACleanError) {
+  auto loaded = LoadSnapshot(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().code() == StatusCode::kInvalidArgument ||
+              loaded.status().code() == StatusCode::kIoError)
+      << loaded.status().ToString();
+}
+
 // Regression (PR 9): a hostile file whose label table disagrees with its
 // declared dimensions must be rejected at load time. Before the fix such
 // a snapshot decoded "successfully" and every by-name consumer (the serve
@@ -414,6 +424,74 @@ TEST(Snapshot, LoadRejectsRmseCountMismatch) {
       << loaded.status().ToString();
   EXPECT_NE(loaded.status().message().find("rmse count"), std::string::npos)
       << loaded.status().ToString();
+}
+
+/// A one-keyword snapshot with a shock, for the in-memory decoder tests.
+ModelSnapshot OneKeywordSnapshot() {
+  ModelSnapshot s;
+  s.params.num_keywords = 1;
+  s.params.num_locations = 0;
+  s.params.num_ticks = 64;
+  KeywordGlobalParams p;
+  p.population = 1234.5;
+  p.beta = 0.25;
+  p.growth_rate = 0.5;
+  p.growth_start = 40;
+  s.params.global = {p};
+  Shock shock;
+  shock.period = 7;
+  shock.start = 3;
+  shock.width = 2;
+  shock.base_strength = 1.5;
+  shock.global_strengths = {1.5, 1.7, 1.5};
+  s.params.shocks = {shock};
+  s.keywords = {"grammy"};
+  s.global_rmse = {3.25};
+  s.total_cost_bits = 812.5;
+  return s;
+}
+
+// DecodeSnapshotFile is the one binary decoder: LoadSnapshot's binary
+// branch and every serve-registry reload use it. Each strict prefix of an
+// image — copied, so a read past its end is a sanitizer error — fails
+// with an error that starts with the caller's context, never with a
+// partial model.
+TEST(Snapshot, DecodeFileRejectsEveryTruncation) {
+  const ModelSnapshot snapshot = OneKeywordSnapshot();
+  const std::vector<uint8_t> image = EncodeSnapshotFile(snapshot);
+  auto whole = DecodeSnapshotFile(image.data(), image.size(), "ctx");
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(EncodeSnapshotPayload(*whole), EncodeSnapshotPayload(snapshot));
+  for (size_t len = 0; len < image.size(); ++len) {
+    const std::vector<uint8_t> prefix(image.begin(), image.begin() + len);
+    auto cut = DecodeSnapshotFile(prefix.data(), prefix.size(), "ctx");
+    ASSERT_FALSE(cut.ok()) << "prefix " << len;
+    // Up to the whole magic the bytes are not a snapshot at all.
+    EXPECT_EQ(cut.status().code(),
+              len < 8 ? StatusCode::kInvalidArgument : StatusCode::kDataLoss)
+        << "prefix " << len << ": " << cut.status().ToString();
+    EXPECT_EQ(cut.status().message().rfind("ctx: ", 0), 0u)
+        << cut.status().ToString();
+  }
+}
+
+// Every single-bit flip is caught: in the magic or version as
+// InvalidArgument, anywhere else as DataLoss (a length check or the
+// payload CRC, which detects every single-bit error).
+TEST(Snapshot, DecodeFileCatchesEveryBitFlip) {
+  const std::vector<uint8_t> image = EncodeSnapshotFile(OneKeywordSnapshot());
+  for (size_t byte = 0; byte < image.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = image;
+      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+      auto got = DecodeSnapshotFile(flipped.data(), flipped.size(), "ctx");
+      ASSERT_FALSE(got.ok()) << "byte " << byte << " bit " << bit;
+      EXPECT_EQ(got.status().code(), byte < 12 ? StatusCode::kInvalidArgument
+                                               : StatusCode::kDataLoss)
+          << "byte " << byte << " bit " << bit << ": "
+          << got.status().ToString();
+    }
+  }
 }
 
 }  // namespace

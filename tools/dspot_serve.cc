@@ -16,7 +16,7 @@
 //                                a flooding tenant sheds only itself
 //     [--deadline-ms MS]         default per-request budget (0 = none)
 //     [--max-resident-bytes B]   registry budget; accepts 64M / 2GiB / ...
-//     [--spill-dir D]            snapshot spill directory (created)
+//     [--spill-dir D]            spill-log directory (created)
 //     [--shards N]               registry shards (default 8)
 //     [--max-batch N]            dispatcher batch size (default 64)
 //     [--metrics-json F]         write an obs metrics snapshot on exit
@@ -521,6 +521,11 @@ int Serve(const Flags& flags) {
     }
   }
   ModelRegistry registry(registry_options);
+  if (!registry.open_status().ok()) {
+    std::fprintf(stderr, "dspot_serve: --spill-dir: %s\n",
+                 registry.open_status().ToString().c_str());
+    return 1;
+  }
 
   ServeOptions serve_options;
   serve_options.num_threads = static_cast<size_t>(threads);
