@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels underlying
 // the pipeline: SIV simulation, epsilon construction, LM on a canonical
 // problem, and the dense solvers. A custom main additionally times the
-// kernel layer directly (SIMD batch vs scalar SIV, SIMD vs scalar-fold
-// reductions, analytic vs numeric LM Jacobians) and exports the results —
-// including the bit-identity / golden-tolerance verdicts the CI kernel
-// job asserts on — to BENCH_micro.json.
+// kernel layer directly (SIMD batch vs scalar SIV, resumed vs full runs,
+// the fused normal equations vs Jacobian + Gram + J^T r, SIMD vs
+// scalar-fold reductions, analytic vs numeric LM derivatives) and exports
+// the results — including the bit-identity / golden-tolerance verdicts the
+// CI kernel job asserts on — to BENCH_micro.json.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -450,6 +452,127 @@ void AddSivBatchMetrics(bench::BenchJson* json) {
               kCount, speedup, bit_identical ? "yes" : "NO");
 }
 
+/// The fused normal-equations pass vs its reference (SivJacobianInto,
+/// then GramInto and TransposedTimesInto) on one LM-sized problem with
+/// shocks, growth and a gappy observed list: speedup and bit-identity.
+void AddSivNormalEquationsMetrics(bench::BenchJson* json) {
+  constexpr size_t kTicks = 104;
+  constexpr int kInner = 2000;
+  const kernels::SivParams p{220.0, 0.55, 0.42, 0.3, 1.5};
+  std::vector<double> eps(kTicks, 1.0), eta(kTicks, 0.0);
+  for (size_t t = 30; t < 33; ++t) eps[t] = 6.0;
+  for (size_t t = 60; t < kTicks; ++t) eta[t] = 0.4;
+  std::vector<size_t> observed;
+  for (size_t t = 0; t < kTicks; ++t) {
+    if (t % 9 != 4) observed.push_back(t);
+  }
+  std::vector<double> residuals(observed.size());
+  for (size_t k = 0; k < residuals.size(); ++k) {
+    residuals[k] = std::sin(0.37 * static_cast<double>(k));
+  }
+  Matrix jac(observed.size(), kernels::kSivNumParams);
+  Matrix jtj_ref;
+  std::vector<double> jtr_ref(kernels::kSivNumParams);
+  auto reference = [&] {
+    kernels::SivJacobianInto(p, eps, eta, observed, kTicks, jac.MutableData(),
+                             kernels::kSivNumParams);
+    jac.GramInto(&jtj_ref);
+    jac.TransposedTimesInto(residuals, jtr_ref);
+  };
+  double jtj[kernels::kSivNumParams * kernels::kSivNumParams];
+  double jtr[kernels::kSivNumParams];
+  auto fused = [&] {
+    kernels::SivNormalEquationsInto(p, eps, eta, observed, residuals, kTicks,
+                                    jtj, jtr);
+  };
+  const double reference_secs = BestSeconds(5, [&] {
+    for (int it = 0; it < kInner; ++it) {
+      reference();
+      benchmark::DoNotOptimize(jtr_ref.data());
+    }
+  });
+  const double fused_secs = BestSeconds(5, [&] {
+    for (int it = 0; it < kInner; ++it) {
+      fused();
+      benchmark::DoNotOptimize(jtr);
+    }
+  });
+  reference();
+  fused();
+  bool bit_identical = true;
+  for (size_t i = 0; i < kernels::kSivNumParams; ++i) {
+    if (jtr[i] != jtr_ref[i]) bit_identical = false;
+    for (size_t j = 0; j < kernels::kSivNumParams; ++j) {
+      if (jtj[i * kernels::kSivNumParams + j] != jtj_ref(i, j)) {
+        bit_identical = false;
+      }
+    }
+  }
+  const double speedup = reference_secs / fused_secs;
+  json->Set("siv_normal_equations_speedup", speedup);
+  json->Set("siv_normal_equations_bit_identical", bit_identical ? 1.0 : 0.0);
+  std::printf(
+      "kernel: SIV normal equations fused vs Jacobian+Gram  speedup %.2fx  "
+      "bit-identical %s\n",
+      speedup, bit_identical ? "yes" : "NO");
+}
+
+/// A run split at every tick into a prefix plus a resume (scalar), and a
+/// batch resumed from those prefix states, against the full scalar run.
+void AddSivResumeMetrics(bench::BenchJson* json) {
+  constexpr size_t kTicks = 120;
+  constexpr size_t kLanes = 7;
+  bool bit_identical = true;
+  for (size_t l = 0; l < kLanes; ++l) {
+    const double f = static_cast<double>(l);
+    const kernels::SivParams p{150.0 + 20.0 * f, 0.3 + 0.07 * f,
+                               0.2 + 0.05 * f, 0.1 + 0.04 * f, 1.0 + f};
+    std::vector<double> eps(kTicks), full(kTicks), split(kTicks);
+    for (size_t t = 0; t < kTicks; ++t) {
+      eps[t] = 1.0 + 4.0 * (t % (11 + l) == 0 ? 1.0 : 0.0);
+    }
+    kernels::SimulateSivScalarInto(p, eps, {}, full);
+    for (size_t t0 = 0; t0 <= kTicks; ++t0) {
+      kernels::SivState state = kernels::SivInitialState(p);
+      const std::span<const double> e(eps);
+      kernels::ResumeSivScalarInto(p, e.first(t0), {}, &state,
+                                   std::span<double>(split).first(t0));
+      kernels::ResumeSivScalarInto(p, e.subspan(t0), {}, &state,
+                                   std::span<double>(split).subspan(t0));
+      if (split != full) bit_identical = false;
+    }
+    // The same lane resumed at tick 40 inside a batch of kLanes copies.
+    const size_t t0 = 40;
+    kernels::SivState state = kernels::SivInitialState(p);
+    kernels::ResumeSivScalarInto(p, std::span<const double>(eps).first(t0), {},
+                                 &state, std::span<double>(split).first(t0));
+    std::vector<double> beta(kLanes, p.beta), delta(kLanes, p.delta),
+        gamma(kLanes, p.gamma), n(kLanes, state.n), s(kLanes, state.s),
+        i(kLanes, state.i), v(kLanes, state.v);
+    std::vector<double> eps_soa((kTicks - t0) * kLanes);
+    for (size_t k = 0; k < kTicks - t0; ++k) {
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        eps_soa[k * kLanes + lane] = eps[t0 + k];
+      }
+    }
+    std::vector<double> out((kTicks - t0) * kLanes);
+    const kernels::SivBatchSoA batch{nullptr, beta.data(), delta.data(),
+                                     gamma.data(), nullptr, eps_soa.data(),
+                                     nullptr};
+    kernels::ResumeSivBatchInto(batch, {n.data(), s.data(), i.data(), v.data()},
+                                kLanes, kTicks - t0, out.data());
+    for (size_t k = 0; k < kTicks - t0; ++k) {
+      for (size_t lane = 0; lane < kLanes; ++lane) {
+        if (out[k * kLanes + lane] != full[t0 + k]) bit_identical = false;
+      }
+    }
+  }
+  json->Set("siv_resume_bit_identical", bit_identical ? 1.0 : 0.0);
+  std::printf("kernel: SIV resume (scalar at every tick, batch)  "
+              "bit-identical %s\n",
+              bit_identical ? "yes" : "NO");
+}
+
 /// SIMD reductions vs scalar left folds: speedup plus the relative
 /// deviation, which must stay inside kernels::simd::-style tolerance.
 void AddReduceMetrics(bench::BenchJson* json) {
@@ -524,9 +647,9 @@ void AddReduceMetrics(bench::BenchJson* json) {
       sumsq_speedup, rel_err, moments_speedup, within_tol ? "yes" : "NO");
 }
 
-/// Analytic (dual-number) vs numeric (forward-difference) LM Jacobians on
-/// a canonical SIV recovery problem: iteration counts and whether the two
-/// modes land on the same fit within golden tolerance.
+/// Analytic (fused normal equations) vs numeric (forward-difference) LM
+/// derivatives on a canonical SIV recovery problem: iteration counts and
+/// whether the two modes land on the same fit within golden tolerance.
 void AddLmJacobianMetrics(bench::BenchJson* json) {
   constexpr size_t kTicks = 104;
   const kernels::SivParams truth{200.0, 0.5, 0.45, 0.5, 1.0};
@@ -556,11 +679,12 @@ void AddLmJacobianMetrics(bench::BenchJson* json) {
                                           numeric_options, &ws);
   LmOptions analytic_options;
   analytic_options.max_iterations = 300;
-  analytic_options.analytic_jacobian = [&](std::span<const double> p,
-                                           Matrix* jac) -> Status {
+  analytic_options.normal_equations =
+      [&](std::span<const double> p, std::span<const double> r, Matrix* jtj,
+          std::span<double> jtr) -> Status {
     const kernels::SivParams sp{p[0], p[1], p[2], p[3], p[4]};
-    kernels::SivJacobianInto(sp, {}, {}, observed, kTicks, jac->MutableData(),
-                             jac->cols());
+    kernels::SivNormalEquationsInto(sp, {}, {}, observed, r, kTicks,
+                                    jtj->MutableData(), jtr.data());
     return Status::Ok();
   };
   const auto analytic = LevenbergMarquardt(residual_fn, kTicks, init, bounds,
@@ -625,6 +749,8 @@ void WriteKernelReport() {
   json.Set("simd_isa", std::string(kernels::SimdIsaName()));
   json.Set("simd_lanes", static_cast<double>(kernels::SimdNumLanes()));
   AddSivBatchMetrics(&json);
+  AddSivNormalEquationsMetrics(&json);
+  AddSivResumeMetrics(&json);
   AddReduceMetrics(&json);
   AddLmJacobianMetrics(&json);
   if (json.WriteTo("BENCH_micro.json")) {

@@ -60,13 +60,6 @@ struct GlobalFitOptions {
   double prune_slack_bits = 4.0;
   /// Prints per-stage costs to stderr (debugging aid).
   bool verbose = false;
-  /// Cross-check switch for the base-parameter LM solves: false (the
-  /// default) supplies LM with the analytic forward-mode Jacobian of the
-  /// SIV recurrence (one dual-number simulation per iteration); true
-  /// restores the historical forward-difference Jacobian (five
-  /// re-simulations per iteration). Both converge to the same fits within
-  /// golden tolerance; tests and bench_micro compare the two modes.
-  bool use_numeric_jacobian = false;
   /// Data-coding model for Cost_C (Gaussian is the paper's choice; the
   /// Poisson code is a count-aware alternative, ablated in
   /// bench_ablation_coding).

@@ -125,7 +125,13 @@ size_t OccurrenceWindow(const Shock& shock) {
 
 void BuildGlobalEpsilonInto(const std::vector<Shock>& shocks, size_t keyword,
                             size_t n_ticks, std::vector<double>* out) {
-  out->assign(n_ticks, 1.0);
+  BuildGlobalEpsilonTailInto(shocks, keyword, 0, n_ticks, out);
+}
+
+void BuildGlobalEpsilonTailInto(const std::vector<Shock>& shocks,
+                                size_t keyword, size_t begin, size_t n_ticks,
+                                std::vector<double>* out) {
+  out->assign(n_ticks - begin, 1.0);
   std::vector<double>& eps = *out;
   for (const Shock& shock : shocks) {
     if (shock.keyword != keyword) continue;
@@ -137,10 +143,10 @@ void BuildGlobalEpsilonInto(const std::vector<Shock>& shocks, size_t keyword,
                                   : shock.base_strength;
       // Adding 0.0 is an exact no-op, so skipping keeps bit-identity.
       if (strength == 0.0) continue;
-      const size_t begin = shock.start + m * shock.period;
-      const size_t end = std::min(begin + window, n_ticks);
-      for (size_t t = begin; t < end; ++t) {
-        eps[t] += strength;
+      const size_t first = shock.start + m * shock.period;
+      const size_t end = std::min(first + window, n_ticks);
+      for (size_t t = std::max(first, begin); t < end; ++t) {
+        eps[t - begin] += strength;
       }
     }
   }

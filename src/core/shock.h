@@ -98,6 +98,13 @@ std::vector<double> BuildLocalEpsilon(const std::vector<Shock>& shocks,
 /// values are bit-identical to the per-tick scan (which delegates here).
 void BuildGlobalEpsilonInto(const std::vector<Shock>& shocks, size_t keyword,
                             size_t n_ticks, std::vector<double>* out);
+/// The ticks [begin, n_ticks) of BuildGlobalEpsilonInto's schedule, with
+/// (*out)[k] holding tick begin + k (begin <= n_ticks). Each tick sums the
+/// same contributions in the same order, so the values are bit-identical
+/// to the full schedule's; BuildGlobalEpsilonInto is the begin = 0 case.
+void BuildGlobalEpsilonTailInto(const std::vector<Shock>& shocks,
+                                size_t keyword, size_t begin, size_t n_ticks,
+                                std::vector<double>* out);
 void BuildLocalEpsilonInto(const std::vector<Shock>& shocks, size_t keyword,
                            size_t location, size_t n_ticks,
                            std::vector<double>* out);

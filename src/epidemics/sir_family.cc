@@ -77,12 +77,14 @@ void SimulateSirsT(const T& population, const T& beta, const T& delta,
   }
 }
 
-/// Shared per-fit scratch: the LM workspace, the simulation buffer, and
-/// the observed-tick index list the residual loop walks.
+/// Shared per-fit scratch: the LM workspace, the simulation buffer, the
+/// observed-tick index list the residual loop walks, and the Jacobian the
+/// normal-equations hook assembles.
 struct EpidemicScratch {
   LmWorkspace lm;
   std::vector<double> estimate;
   std::vector<size_t> observed;
+  Matrix jac;
 
   void Prepare(const Series& data) {
     estimate.resize(data.size());
@@ -105,15 +107,31 @@ Status ResidualsFor(const Series& data, const SimulateInto& simulate_into,
   return Status::Ok();
 }
 
-/// Copies the derivative rows of a finished dual simulation into the LM
-/// Jacobian: row k holds dI(observed[k]) / d(param 0..NP-1).
-template <size_t NP>
-void DualRowsInto(const std::vector<Dual<NP>>& trajectory,
-                  const std::vector<size_t>& observed, Matrix* jac) {
-  for (size_t k = 0; k < observed.size(); ++k) {
-    const Dual<NP>& it = trajectory[observed[k]];
-    for (size_t c = 0; c < NP; ++c) (*jac)(k, c) = it.d[c];
-  }
+/// The LM normal-equations hook of one model: `simulate_dual(vars, out)`
+/// runs the recurrence over Dual<NP> from the seeded parameters `vars`;
+/// row k of J is the derivative part of I(observed[k]), and J^T J / J^T r
+/// come from Matrix::GramInto / TransposedTimesInto — the same sums the
+/// solver forms from a Jacobian, so the fits are those of a Jacobian hook.
+template <size_t NP, typename SimulateDual>
+NormalEquationsFn DualNormalEquations(EpidemicScratch* scratch,
+                                      SimulateDual simulate_dual) {
+  return [scratch, simulate_dual,
+          trajectory = std::vector<Dual<NP>>(scratch->estimate.size())](
+             std::span<const double> p, std::span<const double> r,
+             Matrix* jtj, std::span<double> jtr) mutable -> Status {
+    Dual<NP> vars[NP];
+    for (size_t c = 0; c < NP; ++c) vars[c] = Dual<NP>::Var(p[c], c);
+    simulate_dual(vars, std::span<Dual<NP>>(trajectory));
+    Matrix& jac = scratch->jac;
+    jac.Resize(scratch->observed.size(), NP);
+    for (size_t k = 0; k < scratch->observed.size(); ++k) {
+      const Dual<NP>& it = trajectory[scratch->observed[k]];
+      for (size_t c = 0; c < NP; ++c) jac(k, c) = it.d[c];
+    }
+    jac.GramInto(jtj);
+    jac.TransposedTimesInto(r, jtr);
+    return Status::Ok();
+  };
 }
 
 constexpr int kMinObserved = 8;
@@ -163,7 +181,7 @@ Series SimulateSirs(const SirsParams& params, size_t n_ticks) {
   return out;
 }
 
-StatusOr<SiFit> FitSi(const Series& data, const EpidemicFitOptions& options) {
+StatusOr<SiFit> FitSi(const Series& data) {
   if (data.observed_count() < kMinObserved) {
     return Status::InvalidArgument("FitSi: too few observations");
   }
@@ -179,18 +197,10 @@ StatusOr<SiFit> FitSi(const Series& data, const EpidemicFitOptions& options) {
         &scratch, r);
   };
   LmOptions lm_options;
-  std::vector<Dual<3>> dual_trajectory;
-  if (!options.use_numeric_jacobian) {
-    dual_trajectory.resize(data.size());
-    lm_options.analytic_jacobian = [&](std::span<const double> p,
-                                       Matrix* jac) -> Status {
-      using D = Dual<3>;
-      SimulateSiT<D>(D::Var(p[0], 0), D::Var(p[1], 1), D::Var(p[2], 2),
-                     std::span<D>(dual_trajectory));
-      DualRowsInto(dual_trajectory, scratch.observed, jac);
-      return Status::Ok();
-    };
-  }
+  lm_options.normal_equations = DualNormalEquations<3>(
+      &scratch, [](const Dual<3>* x, std::span<Dual<3>> out) {
+        SimulateSiT<Dual<3>>(x[0], x[1], x[2], out);
+      });
   Bounds bounds;
   bounds.lower = {peak * 1.05, 1e-6, 1e-6};
   bounds.upper = {peak * 100.0, 5.0, peak};
@@ -217,7 +227,7 @@ StatusOr<SiFit> FitSi(const Series& data, const EpidemicFitOptions& options) {
   return best;
 }
 
-StatusOr<SirFit> FitSir(const Series& data, const EpidemicFitOptions& options) {
+StatusOr<SirFit> FitSir(const Series& data) {
   if (data.observed_count() < kMinObserved) {
     return Status::InvalidArgument("FitSir: too few observations");
   }
@@ -233,18 +243,10 @@ StatusOr<SirFit> FitSir(const Series& data, const EpidemicFitOptions& options) {
         &scratch, r);
   };
   LmOptions lm_options;
-  std::vector<Dual<4>> dual_trajectory;
-  if (!options.use_numeric_jacobian) {
-    dual_trajectory.resize(data.size());
-    lm_options.analytic_jacobian = [&](std::span<const double> p,
-                                       Matrix* jac) -> Status {
-      using D = Dual<4>;
-      SimulateSirT<D>(D::Var(p[0], 0), D::Var(p[1], 1), D::Var(p[2], 2),
-                      D::Var(p[3], 3), std::span<D>(dual_trajectory));
-      DualRowsInto(dual_trajectory, scratch.observed, jac);
-      return Status::Ok();
-    };
-  }
+  lm_options.normal_equations = DualNormalEquations<4>(
+      &scratch, [](const Dual<4>* x, std::span<Dual<4>> out) {
+        SimulateSirT<Dual<4>>(x[0], x[1], x[2], x[3], out);
+      });
   Bounds bounds;
   bounds.lower = {peak * 1.05, 1e-6, 1e-6, 1e-6};
   bounds.upper = {peak * 100.0, 5.0, 1.0, peak};
@@ -272,8 +274,7 @@ StatusOr<SirFit> FitSir(const Series& data, const EpidemicFitOptions& options) {
   return best;
 }
 
-StatusOr<SirsFit> FitSirs(const Series& data,
-                          const EpidemicFitOptions& options) {
+StatusOr<SirsFit> FitSirs(const Series& data) {
   if (data.observed_count() < kMinObserved) {
     return Status::InvalidArgument("FitSirs: too few observations");
   }
@@ -289,19 +290,10 @@ StatusOr<SirsFit> FitSirs(const Series& data,
         &scratch, r);
   };
   LmOptions lm_options;
-  std::vector<Dual<5>> dual_trajectory;
-  if (!options.use_numeric_jacobian) {
-    dual_trajectory.resize(data.size());
-    lm_options.analytic_jacobian = [&](std::span<const double> p,
-                                       Matrix* jac) -> Status {
-      using D = Dual<5>;
-      SimulateSirsT<D>(D::Var(p[0], 0), D::Var(p[1], 1), D::Var(p[2], 2),
-                       D::Var(p[3], 3), D::Var(p[4], 4),
-                       std::span<D>(dual_trajectory));
-      DualRowsInto(dual_trajectory, scratch.observed, jac);
-      return Status::Ok();
-    };
-  }
+  lm_options.normal_equations = DualNormalEquations<5>(
+      &scratch, [](const Dual<5>* x, std::span<Dual<5>> out) {
+        SimulateSirsT<Dual<5>>(x[0], x[1], x[2], x[3], x[4], out);
+      });
   Bounds bounds;
   bounds.lower = {peak * 1.05, 1e-6, 1e-6, 1e-6, 1e-6};
   bounds.upper = {peak * 100.0, 5.0, 1.0, 1.0, peak};

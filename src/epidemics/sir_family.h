@@ -60,15 +60,6 @@ struct EpidemicFitInfo {
   int lm_iterations = 0;
 };
 
-/// Knobs shared by the epidemic fitters.
-struct EpidemicFitOptions {
-  /// false (default): LM uses the analytic forward-mode Jacobian of the
-  /// recurrence (one dual-number simulation per iteration). true: the
-  /// historical forward-difference Jacobian (one re-simulation per
-  /// parameter per iteration), kept as a cross-check.
-  bool use_numeric_jacobian = false;
-};
-
 struct SiFit {
   SiParams params;
   EpidemicFitInfo info;
@@ -85,14 +76,9 @@ struct SirsFit {
 /// Fits the model to `data` (missing entries skipped) with multi-start
 /// Levenberg-Marquardt. Returns InvalidArgument for series shorter than
 /// 8 observed points.
-StatusOr<SiFit> FitSi(const Series& data,
-                      const EpidemicFitOptions& options = EpidemicFitOptions());
-StatusOr<SirFit> FitSir(
-    const Series& data,
-    const EpidemicFitOptions& options = EpidemicFitOptions());
-StatusOr<SirsFit> FitSirs(
-    const Series& data,
-    const EpidemicFitOptions& options = EpidemicFitOptions());
+StatusOr<SiFit> FitSi(const Series& data);
+StatusOr<SirFit> FitSir(const Series& data);
+StatusOr<SirsFit> FitSirs(const Series& data);
 
 }  // namespace dspot
 

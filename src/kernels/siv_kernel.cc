@@ -13,6 +13,18 @@ void SimulateSivScalarInto(const SivParams& params,
                        params.gamma, params.i0, epsilon, eta, out);
 }
 
+SivState SivInitialState(const SivParams& params) {
+  return SivInitialStateT<double>(params.population, params.i0);
+}
+
+void ResumeSivScalarInto(const SivParams& params,
+                         std::span<const double> epsilon,
+                         std::span<const double> eta, SivState* state,
+                         std::span<double> out) {
+  AdvanceSivT<double>(params.beta, params.delta, params.gamma, epsilon, eta,
+                      state, out);
+}
+
 void SivJacobianInto(const SivParams& params, std::span<const double> epsilon,
                      std::span<const double> eta,
                      std::span<const size_t> observed, size_t n_ticks,
@@ -58,35 +70,267 @@ void SivJacobianInto(const SivParams& params, std::span<const double> epsilon,
 
 namespace {
 
-/// Scalar remainder path of the batch kernel: runs lanes [lane_begin,
-/// count) of the SoA batch one at a time with the exact SimulateSivT
-/// operation sequence, reading/writing the strided SoA slots.
-void SimulateSivBatchScalarTail(const SivBatchSoA& batch, size_t count,
-                                size_t n_ticks, size_t lane_begin,
-                                double* out) {
-  for (size_t l = lane_begin; l < count; ++l) {
-    const double n = TMax(batch.population[l], 1e-9);
-    double i = TClamp(batch.i0[l], 0.0, n);
-    double s = n - i;
-    double v = 0.0;
-    const double delta = TClamp(batch.delta[l], 0.0, 1.0);
-    const double gamma = TClamp(batch.gamma[l], 0.0, 1.0);
-    const double beta = batch.beta[l];
+using simd::VecD;
 
-    for (size_t t = 0; t < n_ticks; ++t) {
-      out[t * count + l] = i;
+// --- fused normal equations ----------------------------------------------
 
-      const double eps = batch.epsilon ? batch.epsilon[t * count + l] : 1.0;
-      const double eta_t = batch.eta ? batch.eta[t * count + l] : 0.0;
-      const double raw_infect = beta * (s / n) * eps * i * (1.0 + eta_t);
-      const double infect = TClamp(raw_infect, 0.0, s);
-      const double recover = delta * i;
-      const double wane = gamma * v;
+/// The derivative part of one Dual<5> value, padded to whole SIMD vectors.
+/// Pad lanes start at zero and are never read back.
+constexpr size_t kGradChunks =
+    (kSivNumParams + simd::kNumLanes - 1) / simd::kNumLanes;
+constexpr size_t kGradWidth = kGradChunks * simd::kNumLanes;
 
-      s += wane - infect;
-      i += infect - recover;
-      v += recover - wane;
+struct Grad {
+  VecD c[kGradChunks];
+
+  static Grad Zero() {
+    Grad g;
+    for (VecD& x : g.c) x = VecD::Zero();
+    return g;
+  }
+  /// d/d(param `slot`) = 1: the seed of Dual::Var.
+  static Grad Unit(size_t slot) {
+    alignas(64) double lanes[kGradWidth] = {};
+    lanes[slot] = 1.0;
+    Grad g;
+    for (size_t k = 0; k < kGradChunks; ++k) {
+      g.c[k] = VecD::Load(lanes + k * simd::kNumLanes);
     }
+    return g;
+  }
+};
+
+/// A Dual<5> as value plus Grad. The helpers below are Dual's operators
+/// with the same operands in the same order, so every lane reproduces the
+/// matching Dual derivative bit for bit.
+struct TangentValue {
+  double v;
+  Grad d;
+};
+
+TangentValue Sub(const TangentValue& a, const TangentValue& b) {
+  TangentValue r{a.v - b.v, {}};
+  for (size_t k = 0; k < kGradChunks; ++k) r.d.c[k] = a.d.c[k] - b.d.c[k];
+  return r;
+}
+
+void AddTo(TangentValue* a, const TangentValue& b) {
+  a->v += b.v;
+  for (size_t k = 0; k < kGradChunks; ++k) a->d.c[k] = a->d.c[k] + b.d.c[k];
+}
+
+/// a * b for two variables: d = a.d * b.v + a.v * b.d.
+TangentValue Mul(const TangentValue& a, const TangentValue& b) {
+  TangentValue r{a.v * b.v, {}};
+  const VecD av = VecD::Splat(a.v);
+  const VecD bv = VecD::Splat(b.v);
+  for (size_t k = 0; k < kGradChunks; ++k) {
+    r.d.c[k] = a.d.c[k] * bv + av * b.d.c[k];
+  }
+  return r;
+}
+
+/// a * Dual(c) for a constant c: Dual still adds a.v * (d of c = 0.0).
+TangentValue MulConst(const TangentValue& a, double c) {
+  TangentValue r{a.v * c, {}};
+  const VecD cv = VecD::Splat(c);
+  const VecD zero_term = VecD::Splat(a.v * 0.0);
+  for (size_t k = 0; k < kGradChunks; ++k) {
+    r.d.c[k] = a.d.c[k] * cv + zero_term;
+  }
+  return r;
+}
+
+/// a / b: d = (a.d * b.v - a.v * b.d) * (1 / (b.v * b.v)).
+TangentValue Div(const TangentValue& a, const TangentValue& b) {
+  TangentValue r{a.v / b.v, {}};
+  const VecD inv_b2 = VecD::Splat(1.0 / (b.v * b.v));
+  const VecD av = VecD::Splat(a.v);
+  const VecD bv = VecD::Splat(b.v);
+  for (size_t k = 0; k < kGradChunks; ++k) {
+    r.d.c[k] = (a.d.c[k] * bv - av * b.d.c[k]) * inv_b2;
+  }
+  return r;
+}
+
+/// TClamp over Duals: selects by value and keeps the chosen operand's
+/// derivatives.
+TangentValue Clamp(const TangentValue& x, const TangentValue& lo,
+                   const TangentValue& hi) {
+  return x.v < lo.v ? lo : (hi.v < x.v ? hi : x);
+}
+
+TangentValue Constant(double v) { return {v, Grad::Zero()}; }
+TangentValue Variable(double v, size_t slot) { return {v, Grad::Unit(slot)}; }
+
+}  // namespace
+
+void SivNormalEquationsInto(const SivParams& params,
+                            std::span<const double> epsilon,
+                            std::span<const double> eta,
+                            std::span<const size_t> observed,
+                            std::span<const double> residuals, size_t n_ticks,
+                            double* jtj, double* jtr) {
+  // SivJacobianInto's Dual<5> pass, statement for statement.
+  const TangentValue population = Variable(params.population, 0);
+  const TangentValue beta = Variable(params.beta, 1);
+  const TangentValue delta = Variable(params.delta, 2);
+  const TangentValue gamma = Variable(params.gamma, 3);
+  const TangentValue i0 = Variable(params.i0, 4);
+  const TangentValue zero = Constant(0.0);
+  const TangentValue one = Constant(1.0);
+
+  const TangentValue floor = Constant(1e-9);
+  const TangentValue n = population.v < floor.v ? floor : population;
+  TangentValue i = Clamp(i0, zero, n);
+  TangentValue s = Sub(n, i);
+  TangentValue v = zero;
+  const TangentValue delta_c = Clamp(delta, zero, one);
+  const TangentValue gamma_c = Clamp(gamma, zero, one);
+
+  // Row p of J^T J accumulates a_p * row over the rows with a_p != 0 (the
+  // GramInto skip); J^T r accumulates row * r_k over r_k != 0.
+  Grad gram[kSivNumParams];
+  for (Grad& g : gram) g = Grad::Zero();
+  Grad grad_r = Grad::Zero();
+  alignas(64) double row[kGradWidth];
+
+  size_t next = 0;
+  for (size_t t = 0; t < n_ticks && next < observed.size(); ++t) {
+    while (next < observed.size() && observed[next] == t) {
+      for (size_t k = 0; k < kGradChunks; ++k) {
+        i.d.c[k].Store(row + k * simd::kNumLanes);
+      }
+      for (size_t p = 0; p < kSivNumParams; ++p) {
+        if (row[p] == 0.0) continue;
+        const VecD a = VecD::Splat(row[p]);
+        for (size_t k = 0; k < kGradChunks; ++k) {
+          gram[p].c[k] = gram[p].c[k] + a * i.d.c[k];
+        }
+      }
+      const double r = residuals[next];
+      if (r != 0.0) {
+        const VecD rv = VecD::Splat(r);
+        for (size_t k = 0; k < kGradChunks; ++k) {
+          grad_r.c[k] = grad_r.c[k] + i.d.c[k] * rv;
+        }
+      }
+      ++next;
+    }
+
+    const double eps = t < epsilon.size() ? epsilon[t] : 1.0;
+    const double eta_t = t < eta.size() ? eta[t] : 0.0;
+    const TangentValue raw_infect =
+        MulConst(Mul(MulConst(Mul(beta, Div(s, n)), eps), i), 1.0 + eta_t);
+    const TangentValue infect = Clamp(raw_infect, zero, s);
+    const TangentValue recover = Mul(delta_c, i);
+    const TangentValue wane = Mul(gamma_c, v);
+
+    AddTo(&s, Sub(wane, infect));
+    AddTo(&i, Sub(infect, recover));
+    AddTo(&v, Sub(recover, wane));
+  }
+
+  alignas(64) double lanes[kGradWidth];
+  for (size_t p = 0; p < kSivNumParams; ++p) {
+    for (size_t k = 0; k < kGradChunks; ++k) {
+      gram[p].c[k].Store(lanes + k * simd::kNumLanes);
+    }
+    for (size_t q = 0; q < kSivNumParams; ++q) {
+      // GramInto fills the upper triangle and mirrors it.
+      jtj[p * kSivNumParams + q] =
+          q >= p ? lanes[q] : jtj[q * kSivNumParams + p];
+    }
+  }
+  for (size_t k = 0; k < kGradChunks; ++k) {
+    grad_r.c[k].Store(lanes + k * simd::kNumLanes);
+  }
+  for (size_t p = 0; p < kSivNumParams; ++p) jtr[p] = lanes[p];
+}
+
+namespace {
+
+// --- SoA batch ------------------------------------------------------------
+
+/// One-lane stand-in for simd::VecD, so the remainder lanes of a batch run
+/// the same loop body as its vector blocks. Min/Max pick operands like
+/// TMin/TMax (and like the scalar fallback VecD), and Min(Max(x, lo), hi)
+/// picks what TClamp(x, lo, hi) picks, so a remainder lane is the scalar
+/// recurrence exactly.
+struct Lane1 {
+  double v;
+
+  static Lane1 Zero() { return {0.0}; }
+  static Lane1 Splat(double x) { return {x}; }
+  static Lane1 Load(const double* p) { return {*p}; }
+  void Store(double* p) const { *p = v; }
+
+  friend Lane1 operator+(Lane1 a, Lane1 b) { return {a.v + b.v}; }
+  friend Lane1 operator-(Lane1 a, Lane1 b) { return {a.v - b.v}; }
+  friend Lane1 operator*(Lane1 a, Lane1 b) { return {a.v * b.v}; }
+  friend Lane1 operator/(Lane1 a, Lane1 b) { return {a.v / b.v}; }
+};
+
+Lane1 Min(Lane1 a, Lane1 b) { return {TMin(a.v, b.v)}; }
+Lane1 Max(Lane1 a, Lane1 b) { return {TMax(a.v, b.v)}; }
+
+template <typename V>
+struct LaneState {
+  V n, s, i, v;
+};
+
+/// The batch recurrence for the lanes starting at `l` (one vector's worth,
+/// or one lane for Lane1): n_steps ticks from `st`, writing out[t * count
+/// + l]. Each lane performs SimulateSivScalarInto's operation sequence;
+/// Min/Max pick the same operands std::max/std::clamp pick for finite
+/// inputs. Stores the final state when `end` is non-null.
+template <typename V>
+void AdvanceLanes(LaneState<V> st, const SivBatchSoA& batch, size_t count,
+                  size_t l, size_t n_steps, double* out,
+                  const SivBatchState* end) {
+  const V zero = V::Zero();
+  const V one = V::Splat(1.0);
+  const V delta = Min(Max(V::Load(batch.delta + l), zero), one);
+  const V gamma = Min(Max(V::Load(batch.gamma + l), zero), one);
+  const V beta = V::Load(batch.beta + l);
+  const V n = st.n;
+  V s = st.s;
+  V i = st.i;
+  V v = st.v;
+
+  for (size_t t = 0; t < n_steps; ++t) {
+    i.Store(out + t * count + l);
+
+    const V eps = batch.epsilon ? V::Load(batch.epsilon + t * count + l) : one;
+    const V eta_t = batch.eta ? V::Load(batch.eta + t * count + l) : zero;
+    const V raw_infect = beta * (s / n) * eps * i * (one + eta_t);
+    const V infect = Min(Max(raw_infect, zero), s);
+    const V recover = delta * i;
+    const V wane = gamma * v;
+
+    s = s + (wane - infect);
+    i = i + (infect - recover);
+    v = v + (recover - wane);
+  }
+  if (end != nullptr) {
+    s.Store(end->s + l);
+    i.Store(end->i + l);
+    v.Store(end->v + l);
+  }
+}
+
+/// Runs every lane of a batch: whole vectors first, then the remainder one
+/// lane at a time. `start(V::Zero(), l)` gives the starting LaneState<V>
+/// of the lanes at `l`.
+template <typename StartFn>
+void RunBatch(const SivBatchSoA& batch, size_t count, size_t n_steps,
+              double* out, const SivBatchState* end, const StartFn& start) {
+  const size_t vec_end = count - (count % simd::kNumLanes);
+  for (size_t l = 0; l < vec_end; l += simd::kNumLanes) {
+    AdvanceLanes(start(VecD::Zero(), l), batch, count, l, n_steps, out, end);
+  }
+  for (size_t l = vec_end; l < count; ++l) {
+    AdvanceLanes(start(Lane1::Zero(), l), batch, count, l, n_steps, out, end);
   }
 }
 
@@ -94,45 +338,23 @@ void SimulateSivBatchScalarTail(const SivBatchSoA& batch, size_t count,
 
 void SimulateSivBatchInto(const SivBatchSoA& batch, size_t count,
                           size_t n_ticks, double* out) {
-  using simd::VecD;
-  const size_t vec_end = count - (count % simd::kNumLanes);
+  // Per-lane setup mirrors SivInitialStateT: n = max(pop, 1e-9),
+  // i = clamp(i0, 0, n), s = n - i, v = 0.
+  RunBatch(batch, count, n_ticks, out, nullptr, [&](auto tag, size_t l) {
+    using V = decltype(tag);
+    const V n = Max(V::Load(batch.population + l), V::Splat(1e-9));
+    const V i = Min(Max(V::Load(batch.i0 + l), V::Zero()), n);
+    return LaneState<V>{n, n - i, i, V::Zero()};
+  });
+}
 
-  const VecD zero = VecD::Zero();
-  const VecD one = VecD::Splat(1.0);
-  const VecD n_floor = VecD::Splat(1e-9);
-
-  for (size_t l = 0; l < vec_end; l += simd::kNumLanes) {
-    // Per-lane setup mirrors the scalar kernel: n = max(pop, 1e-9),
-    // i = clamp(i0, 0, n), rate clamps to [0, 1]. Min/Max pick the same
-    // operand std::max/std::clamp pick for finite inputs, so each lane
-    // stays bit-identical to SimulateSivScalarInto.
-    const VecD n = simd::Max(VecD::Load(batch.population + l), n_floor);
-    VecD i = simd::Min(simd::Max(VecD::Load(batch.i0 + l), zero), n);
-    VecD s = n - i;
-    VecD v = zero;
-    const VecD delta = simd::Min(simd::Max(VecD::Load(batch.delta + l), zero), one);
-    const VecD gamma = simd::Min(simd::Max(VecD::Load(batch.gamma + l), zero), one);
-    const VecD beta = VecD::Load(batch.beta + l);
-
-    for (size_t t = 0; t < n_ticks; ++t) {
-      i.Store(out + t * count + l);
-
-      const VecD eps =
-          batch.epsilon ? VecD::Load(batch.epsilon + t * count + l) : one;
-      const VecD eta_t =
-          batch.eta ? VecD::Load(batch.eta + t * count + l) : zero;
-      const VecD raw_infect = beta * (s / n) * eps * i * (one + eta_t);
-      const VecD infect = simd::Min(simd::Max(raw_infect, zero), s);
-      const VecD recover = delta * i;
-      const VecD wane = gamma * v;
-
-      s = s + (wane - infect);
-      i = i + (infect - recover);
-      v = v + (recover - wane);
-    }
-  }
-
-  SimulateSivBatchScalarTail(batch, count, n_ticks, vec_end, out);
+void ResumeSivBatchInto(const SivBatchSoA& batch, const SivBatchState& state,
+                        size_t count, size_t n_steps, double* out) {
+  RunBatch(batch, count, n_steps, out, &state, [&](auto tag, size_t l) {
+    using V = decltype(tag);
+    return LaneState<V>{V::Load(state.n + l), V::Load(state.s + l),
+                        V::Load(state.i + l), V::Load(state.v + l)};
+  });
 }
 
 }  // namespace kernels

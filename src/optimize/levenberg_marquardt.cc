@@ -258,18 +258,18 @@ StatusOr<LmResult> LevenbergMarquardt(const ResidualIntoFn& residual_fn,
         }
       }
       ++outer_iters;
-      if (options.analytic_jacobian) {
+      // Normal equations: (J^T J + lambda I) step = -J^T r.
+      ws.jtr.resize(np);
+      if (options.normal_equations) {
         DSPOT_SPAN("lm.jacobian");
-        ws.jac.Resize(m, np);
-        DSPOT_RETURN_IF_ERROR(options.analytic_jacobian(p, &ws.jac));
+        ws.jtj.Resize(np, np);
+        DSPOT_RETURN_IF_ERROR(options.normal_equations(p, r, &ws.jtj, ws.jtr));
       } else {
         DSPOT_RETURN_IF_ERROR(
             NumericJacobianInto(residual_fn, p, r, bounds, options, &ws));
+        ws.jac.GramInto(&ws.jtj);
+        ws.jac.TransposedTimesInto(r, ws.jtr);
       }
-      // Normal equations: (J^T J + lambda I) step = -J^T r.
-      ws.jac.GramInto(&ws.jtj);
-      ws.jtr.resize(np);
-      ws.jac.TransposedTimesInto(r, ws.jtr);
       if (NormInf(std::span<const double>(ws.jtr)) <
           options.gradient_tolerance) {
         result.converged = true;

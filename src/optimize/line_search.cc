@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace dspot {
 
@@ -57,16 +58,28 @@ double GoldenSectionMinimize(const Scalar1dFn& fn, double lo, double hi,
   return PreferFirstProbe(f1, f2) ? x1 : x2;
 }
 
-double GridMinimize(const Scalar1dFn& fn, double lo, double hi, size_t steps) {
+double GridMinimize(const Scalar1dFn& fn, double lo, double hi, size_t steps,
+                    const BatchScalar1dFn& batch) {
   if (steps == 0 || hi <= lo) {
     return lo;
+  }
+  auto point = [&](size_t i) {
+    return lo +
+           (hi - lo) * static_cast<double>(i) / static_cast<double>(steps);
+  };
+  std::vector<double> xs;
+  std::vector<double> fs;
+  if (batch) {
+    xs.resize(steps + 1);
+    fs.resize(steps + 1);
+    for (size_t i = 0; i <= steps; ++i) xs[i] = point(i);
+    batch(xs, fs);
   }
   double best_x = lo;
   double best_f = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i <= steps; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(steps);
-    const double f = fn(x);
+    const double x = point(i);
+    const double f = batch ? fs[i] : fn(x);
     if (std::isfinite(f) && f < best_f) {
       best_f = f;
       best_x = x;
@@ -76,8 +89,9 @@ double GridMinimize(const Scalar1dFn& fn, double lo, double hi, size_t steps) {
 }
 
 double GridThenGoldenMinimize(const Scalar1dFn& fn, double lo, double hi,
-                              size_t grid_steps, double tolerance) {
-  const double seed = GridMinimize(fn, lo, hi, grid_steps);
+                              size_t grid_steps, double tolerance,
+                              const BatchScalar1dFn& batch) {
+  const double seed = GridMinimize(fn, lo, hi, grid_steps, batch);
   const double cell = (hi - lo) / static_cast<double>(std::max<size_t>(grid_steps, 1));
   const double a = std::max(lo, seed - cell);
   const double b = std::min(hi, seed + cell);
@@ -85,10 +99,11 @@ double GridThenGoldenMinimize(const Scalar1dFn& fn, double lo, double hi,
 }
 
 double GuardedMinimize(const Scalar1dFn& fn, double lo, double hi,
-                       double current, size_t grid_steps, double tolerance) {
+                       double current, size_t grid_steps, double tolerance,
+                       const BatchScalar1dFn& batch) {
   const double f_current = fn(current);
   const double candidate =
-      GridThenGoldenMinimize(fn, lo, hi, grid_steps, tolerance);
+      GridThenGoldenMinimize(fn, lo, hi, grid_steps, tolerance, batch);
   const double f_candidate = fn(candidate);
   if (std::isnan(f_current)) {
     // A NaN incumbent loses any `<` comparison, so the plain guard below

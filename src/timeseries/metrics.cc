@@ -2,26 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 
 namespace dspot {
-
-namespace {
-
-template <typename Get>
-double RmseImpl(size_t n, const Get& get_pair) {
-  double sum = 0.0;
-  size_t count = 0;
-  for (size_t t = 0; t < n; ++t) {
-    auto [a, e, valid] = get_pair(t);
-    if (!valid) continue;
-    sum += Square(a - e);
-    ++count;
-  }
-  return count == 0 ? 0.0 : std::sqrt(sum / static_cast<double>(count));
-}
-
-}  // namespace
 
 double Rmse(const Series& actual, const Series& estimate) {
   return Rmse(std::span<const double>(actual.values()),
@@ -30,12 +12,9 @@ double Rmse(const Series& actual, const Series& estimate) {
 
 double Rmse(std::span<const double> actual, std::span<const double> estimate) {
   const size_t n = std::min(actual.size(), estimate.size());
-  return RmseImpl(n, [&](size_t t) {
-    const double a = actual[t];
-    const double e = estimate[t];
-    return std::tuple<double, double, bool>(a, e,
-                                            !IsMissing(a) && !IsMissing(e));
-  });
+  RmseAccumulator acc;
+  for (size_t t = 0; t < n; ++t) acc.Add(actual[t], estimate[t]);
+  return acc.Value();
 }
 
 double Rmse(const std::vector<double>& actual,

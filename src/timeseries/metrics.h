@@ -1,9 +1,11 @@
 #ifndef DSPOT_TIMESERIES_METRICS_H_
 #define DSPOT_TIMESERIES_METRICS_H_
 
+#include <cmath>
 #include <span>
 #include <vector>
 
+#include "common/math_util.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -24,6 +26,23 @@ double NormalizedRmse(const Series& actual, const Series& estimate);
 
 /// Coefficient of determination R^2 (can be negative for bad fits).
 double RSquared(const Series& actual, const Series& estimate);
+
+/// Rmse as a running sum over (actual, estimate) pairs. Pairs added in
+/// tick order give exactly Rmse's value (Rmse is this fold), so a sum
+/// carried to some tick can be continued from there bit for bit.
+struct RmseAccumulator {
+  double sum = 0.0;
+  size_t count = 0;
+
+  void Add(double actual, double estimate) {
+    if (IsMissing(actual) || IsMissing(estimate)) return;
+    sum += Square(actual - estimate);
+    ++count;
+  }
+  double Value() const {
+    return count == 0 ? 0.0 : std::sqrt(sum / static_cast<double>(count));
+  }
+};
 
 /// Span / vector forms used internally. Same floating-point sequence as
 /// the Series overload, so results are bit-identical.

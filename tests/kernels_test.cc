@@ -1,13 +1,15 @@
 // Kernel-layer contracts (src/kernels): the SIMD batch SIV simulation is
-// bit-identical to the scalar recurrence, SIMD reductions stay within the
-// documented golden tolerance of a scalar left fold, the forward-mode dual
-// Jacobian matches numeric differentiation, and the branch-free calendar
-// arithmetic handles pre-epoch timestamps — including through the event
-// log's calendar bucketing mode.
+// bit-identical to the scalar recurrence, a run resumed from a stored state
+// reproduces the full run, SIMD reductions stay within the documented
+// golden tolerance of a scalar left fold, the forward-mode dual Jacobian
+// matches numeric differentiation and the fused normal equations match it
+// bit for bit, and the branch-free calendar arithmetic handles pre-epoch
+// timestamps — including through the event log's calendar bucketing mode.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -22,7 +24,10 @@
 #include "kernels/dual.h"
 #include "kernels/reduce.h"
 #include "kernels/siv_kernel.h"
+#include "linalg/matrix.h"
+#include "optimize/levenberg_marquardt.h"
 #include "tensor/event_log.h"
+#include "timeseries/metrics.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -189,6 +194,113 @@ TEST(SivKernelTest, BatchNullSchedulesMeanNoShocksNoGrowth) {
   }
 }
 
+// --- SIV: resuming from a stored state --------------------------------
+
+/// Random schedules with exact zeros in eps (eps = 0 switches infection
+/// off for the tick — the clamp corner of the infection term).
+std::vector<double> ScheduleWithZeros(size_t n, std::mt19937* rng) {
+  std::vector<double> eps = RandomSchedule(n, 0.5, 10.0, rng);
+  for (size_t t = 0; t < n; t += 7) eps[t] = 0.0;
+  return eps;
+}
+
+TEST(SivKernelTest, PrefixPlusResumeMatchesFullRunAtEveryTick) {
+  std::mt19937 rng(2024);
+  std::vector<SivParams> params;
+  for (int k = 0; k < 6; ++k) params.push_back(RandomParams(&rng));
+  // Clamp corners: i0 > N, delta/gamma outside [0, 1], a sub-floor N.
+  params.push_back({100.0, 0.5, 0.4, 0.3, 500.0});
+  params.push_back({100.0, 0.7, 1.7, -0.2, 1.0});
+  params.push_back({100.0, 0.7, -0.3, 1.4, 2.0});
+  params.push_back({1e-12, 0.5, 0.4, 0.3, 1.0});
+  const size_t n = 67;
+  for (size_t trial = 0; trial < params.size(); ++trial) {
+    const SivParams& p = params[trial];
+    const std::vector<double> eps = ScheduleWithZeros(n, &rng);
+    // eta shorter than the run: the tail past it reads eta = 0.
+    const std::vector<double> eta = RandomSchedule(n / 2, 0.0, 2.0, &rng);
+    std::vector<double> full(n);
+    kernels::SimulateSivScalarInto(p, eps, eta, full);
+    for (size_t t0 = 0; t0 <= n; ++t0) {
+      std::vector<double> split(n);
+      kernels::SivState state = kernels::SivInitialState(p);
+      const std::span<const double> eps_span(eps), eta_span(eta);
+      kernels::ResumeSivScalarInto(p, eps_span.first(t0),
+                                   eta_span.first(std::min(t0, eta.size())),
+                                   &state, std::span<double>(split).first(t0));
+      kernels::ResumeSivScalarInto(
+          p, eps_span.subspan(t0), eta_span.subspan(std::min(t0, eta.size())),
+          &state, std::span<double>(split).subspan(t0));
+      for (size_t t = 0; t < n; ++t) {
+        ASSERT_EQ(full[t], split[t])
+            << "trial " << trial << " t0 " << t0 << " tick " << t;
+      }
+    }
+  }
+}
+
+TEST(SivKernelTest, BatchResumeMatchesScalarResumePerLane) {
+  // Lane counts 1-9 cover whole vectors and every remainder length.
+  for (size_t count = 1; count <= 9; ++count) {
+    std::mt19937 rng(300 + count);
+    const size_t n = 90;
+    const size_t t0 = 17 + count;
+    const size_t steps = n - t0;
+    std::vector<SivParams> params(count);
+    std::vector<kernels::SivState> states(count);
+    std::vector<std::vector<double>> eps(count), eta(count);
+    std::vector<double> beta(count), delta(count), gamma(count);
+    std::vector<double> sn(count), ss(count), si(count), sv(count);
+    std::vector<double> eps_soa(steps * count), eta_soa(steps * count);
+    for (size_t l = 0; l < count; ++l) {
+      params[l] = RandomParams(&rng);
+      if (l == 1) params[l].delta = 1.3;   // clamp corners in some lanes
+      if (l == 2) params[l].gamma = -0.4;
+      if (l == 3) params[l].i0 = 900.0;
+      eps[l] = ScheduleWithZeros(n, &rng);
+      eta[l] = RandomSchedule(n, 0.0, 2.0, &rng);
+      // Each lane's own prefix state at t0.
+      std::vector<double> prefix(t0);
+      states[l] = kernels::SivInitialState(params[l]);
+      kernels::ResumeSivScalarInto(params[l], eps[l], eta[l], &states[l],
+                                   prefix);
+      beta[l] = params[l].beta;
+      delta[l] = params[l].delta;
+      gamma[l] = params[l].gamma;
+      sn[l] = states[l].n;
+      ss[l] = states[l].s;
+      si[l] = states[l].i;
+      sv[l] = states[l].v;
+      for (size_t k = 0; k < steps; ++k) {
+        eps_soa[k * count + l] = eps[l][t0 + k];
+        eta_soa[k * count + l] = eta[l][t0 + k];
+      }
+    }
+    const kernels::SivBatchSoA batch{nullptr, beta.data(), delta.data(),
+                                     gamma.data(), nullptr, eps_soa.data(),
+                                     eta_soa.data()};
+    const kernels::SivBatchState batch_state{sn.data(), ss.data(), si.data(),
+                                             sv.data()};
+    std::vector<double> out(steps * count);
+    kernels::ResumeSivBatchInto(batch, batch_state, count, steps, out.data());
+    for (size_t l = 0; l < count; ++l) {
+      std::vector<double> lane(steps);
+      kernels::SivState state = states[l];
+      kernels::ResumeSivScalarInto(
+          params[l], std::span<const double>(eps[l]).subspan(t0),
+          std::span<const double>(eta[l]).subspan(t0), &state, lane);
+      for (size_t k = 0; k < steps; ++k) {
+        ASSERT_EQ(lane[k], out[k * count + l])
+            << "count " << count << " lane " << l << " step " << k;
+      }
+      // The end state continues the scalar run exactly.
+      EXPECT_EQ(state.s, ss[l]);
+      EXPECT_EQ(state.i, si[l]);
+      EXPECT_EQ(state.v, sv[l]);
+    }
+  }
+}
+
 // --- Dual numbers: value path and Jacobians ---------------------------
 
 TEST(DualJacobianTest, DualValuePathBitIdenticalToDouble) {
@@ -270,40 +382,143 @@ TEST(DualJacobianTest, JacobianRowsFollowObservedOrder) {
   }
 }
 
-/// End-to-end cross-check at the fit layer: the analytic-Jacobian default
-/// and the numeric cross-check option land on the same SIV fit.
+/// The fused pass against its reference: SivJacobianInto, then GramInto
+/// and TransposedTimesInto, compared bit for bit. Observed lists have gaps
+/// and repeats; rows with an exactly-zero derivative (ticks before an i0
+/// clamped to 0 can grow) and exactly-zero residuals hit both skips.
+TEST(DualJacobianTest, NormalEquationsMatchJacobianGramBitForBit) {
+  std::mt19937 rng(4242);
+  const size_t n = 80;
+  for (int trial = 0; trial < 12; ++trial) {
+    SivParams p = RandomParams(&rng);
+    if (trial == 1) p.i0 = -1.0;      // I = 0 throughout: all-zero rows
+    if (trial == 2) p.delta = 1.5;    // clamped rate: zero delta column
+    if (trial == 3) p.gamma = -0.1;   // clamped rate: zero gamma column
+    if (trial == 4) p.i0 = 2.0 * p.population;  // i0 clamped to N
+    const std::vector<double> eps = ScheduleWithZeros(n, &rng);
+    const std::vector<double> eta =
+        trial % 2 ? RandomSchedule(n, 0.0, 1.0, &rng) : std::vector<double>();
+    std::vector<size_t> observed;
+    for (size_t t = 0; t < n; ++t) {
+      if (t % 5 == 3 || t % 11 == 0) continue;  // gaps
+      observed.push_back(t);
+      if (t == 40) observed.push_back(t);        // a repeated tick
+    }
+    std::vector<double> residuals(observed.size());
+    std::uniform_real_distribution<double> u(-3.0, 3.0);
+    for (size_t k = 0; k < residuals.size(); ++k) {
+      residuals[k] = k % 4 == 0 ? 0.0 : u(rng);
+    }
+
+    Matrix jac(observed.size(), kernels::kSivNumParams);
+    kernels::SivJacobianInto(p, eps, eta, observed, n, jac.MutableData(),
+                             kernels::kSivNumParams);
+    Matrix expected_jtj;
+    jac.GramInto(&expected_jtj);
+    std::vector<double> expected_jtr(kernels::kSivNumParams);
+    jac.TransposedTimesInto(residuals, expected_jtr);
+
+    double jtj[kernels::kSivNumParams * kernels::kSivNumParams];
+    double jtr[kernels::kSivNumParams];
+    kernels::SivNormalEquationsInto(p, eps, eta, observed, residuals, n, jtj,
+                                    jtr);
+    for (size_t i = 0; i < kernels::kSivNumParams; ++i) {
+      for (size_t j = 0; j < kernels::kSivNumParams; ++j) {
+        ASSERT_EQ(expected_jtj(i, j), jtj[i * kernels::kSivNumParams + j])
+            << "trial " << trial << " jtj(" << i << "," << j << ")";
+      }
+      ASSERT_EQ(expected_jtr[i], jtr[i]) << "trial " << trial << " jtr " << i;
+    }
+  }
+}
+
+/// SIV residual of the base fit with no shocks or growth, for solving the
+/// same problem with and without the normal-equations hook.
+struct SivBaseProblem {
+  std::vector<double> data;
+  std::vector<size_t> observed;
+  std::vector<double> estimate;
+
+  ResidualIntoFn Residual() {
+    return [this](std::span<const double> p, std::span<double> r) -> Status {
+      kernels::SimulateSivScalarInto({p[0], p[1], p[2], p[3], p[4]}, {}, {},
+                                     estimate);
+      for (size_t k = 0; k < observed.size(); ++k) {
+        r[k] = estimate[observed[k]] - data[observed[k]];
+      }
+      return Status::Ok();
+    };
+  }
+};
+
+/// End-to-end cross-check at the fit layer: GLOBALFIT (whose base LM uses
+/// the fused normal equations) lands on the fit that LM's forward-difference
+/// path finds for the same residual from the same starts and bounds.
 TEST(DualJacobianTest, GlobalFitAnalyticMatchesNumericWithinTolerance) {
   const size_t n = 104;
   Series data(n);
+  SivBaseProblem problem;
   {
     const SivParams truth{180.0, 0.55, 0.4, 0.45, 1.5};
-    std::vector<double> clean(n);
-    kernels::SimulateSivScalarInto(truth, {}, {}, clean);
-    for (size_t t = 0; t < n; ++t) data[t] = clean[t];
+    problem.data.resize(n);
+    kernels::SimulateSivScalarInto(truth, {}, {}, problem.data);
+    for (size_t t = 0; t < n; ++t) data[t] = problem.data[t];
   }
-  GlobalFitOptions analytic_options;
-  analytic_options.allow_shocks = false;
-  analytic_options.allow_growth = false;
-  GlobalFitOptions numeric_options = analytic_options;
-  numeric_options.use_numeric_jacobian = true;
-
-  auto analytic = FitGlobalSequence(data, 0, 1, analytic_options);
-  auto numeric = FitGlobalSequence(data, 0, 1, numeric_options);
+  GlobalFitOptions options;
+  options.allow_shocks = false;
+  options.allow_growth = false;
+  auto analytic = FitGlobalSequence(data, 0, 1, options);
   ASSERT_TRUE(analytic.ok()) << analytic.status().ToString();
+
+  // FitBaseParams' multi-start solve (bounds and starts as in
+  // core/global_fit.cc) on the numeric path, then one warm re-solve like
+  // the first alternation round.
+  problem.observed.resize(n);
+  for (size_t t = 0; t < n; ++t) problem.observed[t] = t;
+  problem.estimate.resize(n);
+  const double peak = std::max(data.MaxValue(), 1.0);
+  Bounds bounds;
+  bounds.lower = {peak * 1.05, 1e-4, 1e-4, 1e-4, 1e-6};
+  bounds.upper = {peak * 300.0, 5.0, 1.0, 1.0, peak};
+  const std::vector<std::vector<double>> starts = {
+      {peak * 2.0, 0.3, 0.1, 0.05, 1.0},
+      {peak * 2.0, 0.6, 0.4, 0.2, 1.0},
+      {peak * 5.0, 0.9, 0.7, 0.5, peak * 0.01},
+      {peak * 1.5, 0.2, 0.5, 0.1, peak * 0.05},
+  };
+  LmWorkspace ws;
+  std::vector<double> best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& init : starts) {
+    auto fit = LevenbergMarquardt(problem.Residual(), n, init, bounds,
+                                  LmOptions(), &ws);
+    if (fit.ok() && fit->final_cost < best_cost) {
+      best_cost = fit->final_cost;
+      best = fit->params;
+    }
+  }
+  ASSERT_FALSE(best.empty());
+  auto numeric = LevenbergMarquardt(problem.Residual(), n, best, bounds,
+                                    LmOptions(), &ws);
   ASSERT_TRUE(numeric.ok()) << numeric.status().ToString();
-  EXPECT_NEAR(analytic->rmse, numeric->rmse,
-              1e-3 * std::max(1.0, numeric->rmse));
+  std::vector<double> estimate(n);
+  const std::vector<double>& q = numeric->params;
+  kernels::SimulateSivScalarInto({q[0], q[1], q[2], q[3], q[4]}, {}, {},
+                                 estimate);
+  const double numeric_rmse = Rmse(problem.data, estimate);
+
+  EXPECT_NEAR(analytic->rmse, numeric_rmse, 1e-3 * std::max(1.0, numeric_rmse));
   const double params_a[] = {analytic->params.population, analytic->params.beta,
                              analytic->params.delta, analytic->params.gamma};
-  const double params_n[] = {numeric->params.population, numeric->params.beta,
-                             numeric->params.delta, numeric->params.gamma};
   for (size_t k = 0; k < 4; ++k) {
-    EXPECT_NEAR(params_a[k], params_n[k],
-                1e-2 * std::max(1.0, std::fabs(params_n[k])))
+    EXPECT_NEAR(params_a[k], q[k], 1e-2 * std::max(1.0, std::fabs(q[k])))
         << "param " << k;
   }
 }
 
+/// FitSirs (normal-equations hook over its dual trajectory) and LM's
+/// forward-difference path on the same SIRS residual, starts and bounds
+/// (as in epidemics/sir_family.cc) both explain noise-free data.
 TEST(DualJacobianTest, EpidemicFitsAgreeAcrossJacobianModes) {
   const size_t n = 80;
   SirsParams truth;
@@ -314,17 +529,43 @@ TEST(DualJacobianTest, EpidemicFitsAgreeAcrossJacobianModes) {
   truth.i0 = 2.0;
   const Series data = SimulateSirs(truth, n);
 
-  EpidemicFitOptions analytic;  // default: dual-number Jacobian
-  EpidemicFitOptions numeric;
-  numeric.use_numeric_jacobian = true;
-  auto fit_a = FitSirs(data, analytic);
-  auto fit_n = FitSirs(data, numeric);
+  auto fit_a = FitSirs(data);
   ASSERT_TRUE(fit_a.ok()) << fit_a.status().ToString();
-  ASSERT_TRUE(fit_n.ok()) << fit_n.status().ToString();
+
+  std::vector<double> estimate(n);
+  ResidualIntoFn residual = [&](std::span<const double> p,
+                                std::span<double> r) -> Status {
+    SimulateSirsInto({p[0], p[1], p[2], p[3], p[4]}, estimate);
+    for (size_t t = 0; t < n; ++t) r[t] = estimate[t] - data[t];
+    return Status::Ok();
+  };
+  const double peak = std::max(data.MaxValue(), 1.0);
+  Bounds bounds;
+  bounds.lower = {peak * 1.05, 1e-6, 1e-6, 1e-6, 1e-6};
+  bounds.upper = {peak * 100.0, 5.0, 1.0, 1.0, peak};
+  const double starts[][3] = {
+      {0.3, 0.1, 0.05}, {0.6, 0.4, 0.2}, {0.9, 0.7, 0.5}, {0.2, 0.5, 0.1}};
+  LmWorkspace ws;
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::vector<double> best;
+  for (const auto& start : starts) {
+    auto fit = LevenbergMarquardt(
+        residual, n, {peak * 2.0, start[0], start[1], start[2], 1.0}, bounds,
+        LmOptions(), &ws);
+    if (fit.ok() && fit->final_cost < best_cost) {
+      best_cost = fit->final_cost;
+      best = fit->params;
+    }
+  }
+  ASSERT_FALSE(best.empty());
+  SimulateSirsInto({best[0], best[1], best[2], best[3], best[4]}, estimate);
+  const double numeric_rmse =
+      Rmse(std::span<const double>(data.values()),
+           std::span<const double>(estimate));
   // Both modes must explain the data essentially perfectly (noise-free
   // input) and land on comparable optima.
   EXPECT_LT(fit_a->info.rmse, 1e-3 * truth.population);
-  EXPECT_LT(fit_n->info.rmse, 1e-3 * truth.population);
+  EXPECT_LT(numeric_rmse, 1e-3 * truth.population);
 }
 
 // --- reductions: golden tolerance & mask equivalence ------------------

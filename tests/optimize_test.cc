@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "common/random.h"
 #include "optimize/levenberg_marquardt.h"
@@ -209,6 +211,52 @@ TEST(LineSearch, GridMinimizeDegenerate) {
   auto fn = [](double x) { return x; };
   EXPECT_DOUBLE_EQ(GridMinimize(fn, 5.0, 5.0, 10), 5.0);
   EXPECT_DOUBLE_EQ(GridMinimize(fn, 0.0, 1.0, 0), 0.0);
+}
+
+TEST(LineSearch, GridMinimizeBatchMatchesScalarPath) {
+  // Value tables over an 11-point grid on [0, 10] (x = i): NaN and +-inf
+  // never win, ties go to the first index, and a grid with no finite value
+  // returns lo. The batch path must return the scalar path's abscissa.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> tables = {
+      {5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5},
+      {nan, 4, 3, nan, 1, -inf, 1, 2, 1, 4, 5},
+      {2, 1, 7, 1, 1, 9, 1, 2, 3, 4, 5},        // ties: first wins
+      {nan, nan, inf, -inf, nan, inf, nan, nan, nan, nan, nan},
+      {inf, 3, 3, 3, -inf, 3, 3, 3, 3, 3, 0.5},
+  };
+  for (size_t k = 0; k < tables.size(); ++k) {
+    const std::vector<double>& f = tables[k];
+    auto fn = [&](double x) { return f[static_cast<size_t>(x)]; };
+    size_t batch_calls = 0;
+    BatchScalar1dFn batch = [&](std::span<const double> xs,
+                                std::span<double> fs) {
+      ++batch_calls;
+      ASSERT_EQ(xs.size(), f.size());
+      for (size_t i = 0; i < xs.size(); ++i) fs[i] = fn(xs[i]);
+    };
+    const double scalar = GridMinimize(fn, 0.0, 10.0, 10);
+    const double batched = GridMinimize(fn, 0.0, 10.0, 10, batch);
+    EXPECT_EQ(scalar, batched) << "table " << k;
+    EXPECT_EQ(batch_calls, 1u);
+  }
+  EXPECT_EQ(GridMinimize([](double) { return 0.0; }, 0.0, 10.0, 10), 0.0);
+}
+
+TEST(LineSearch, BatchGridFeedsGoldenAndGuardedMinimize) {
+  // The batch evaluator serves only the grid; the refinement is the same.
+  auto fn = [](double x) {
+    return std::min((x - 2.0) * (x - 2.0) + 1.0, (x - 7.0) * (x - 7.0));
+  };
+  BatchScalar1dFn batch = [&](std::span<const double> xs,
+                              std::span<double> fs) {
+    for (size_t i = 0; i < xs.size(); ++i) fs[i] = fn(xs[i]);
+  };
+  EXPECT_EQ(GridThenGoldenMinimize(fn, 0.0, 10.0, 50, 1e-8),
+            GridThenGoldenMinimize(fn, 0.0, 10.0, 50, 1e-8, batch));
+  EXPECT_EQ(GuardedMinimize(fn, 0.0, 10.0, 1.0, 24, 1e-6),
+            GuardedMinimize(fn, 0.0, 10.0, 1.0, 24, 1e-6, batch));
 }
 
 TEST(LineSearch, GridThenGoldenOnMultimodal) {
