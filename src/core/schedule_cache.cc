@@ -45,13 +45,18 @@ void AppendLocalShockKey(const std::vector<Shock>& shocks, size_t keyword,
 
 void BuildEtaInto(double growth_rate, size_t growth_start, size_t n_ticks,
                   std::vector<double>* out) {
+  BuildEtaTailInto(growth_rate, growth_start, 0, n_ticks, out);
+}
+
+void BuildEtaTailInto(double growth_rate, size_t growth_start, size_t begin,
+                      size_t n_ticks, std::vector<double>* out) {
   if (growth_start == kNpos || growth_rate == 0.0) {
     out->clear();
     return;
   }
-  out->assign(n_ticks, 0.0);
-  for (size_t t = growth_start; t < n_ticks; ++t) {
-    (*out)[t] = growth_rate;
+  out->assign(n_ticks - begin, 0.0);
+  for (size_t t = std::max(growth_start, begin); t < n_ticks; ++t) {
+    (*out)[t - begin] = growth_rate;
   }
 }
 

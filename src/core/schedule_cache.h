@@ -16,6 +16,12 @@ namespace dspot {
 void BuildEtaInto(double growth_rate, size_t growth_start, size_t n_ticks,
                   std::vector<double>* out);
 
+/// The ticks [begin, n_ticks) of BuildEtaInto's schedule, with (*out)[k]
+/// holding tick begin + k (begin <= n_ticks); EMPTY when growth is
+/// disabled. BuildEtaInto is the begin = 0 case.
+void BuildEtaTailInto(double growth_rate, size_t growth_start, size_t begin,
+                      size_t n_ticks, std::vector<double>* out);
+
 /// Single-slot memo for the three per-fit schedules (global epsilon, local
 /// epsilon, eta). Accessors return a view of an internally owned vector
 /// that stays valid until the next call for the same schedule kind (or
