@@ -3,9 +3,8 @@
 
 // Shared helpers for the benches: ASCII sparklines (so each "figure" is
 // eyeballable in a terminal), calendar rendering for the weekly
-// GoogleTrends-style time axis, the nearest-rank percentile, and the
-// machine-readable BENCH_<name>.json emitter the CI perf trajectory
-// ingests.
+// GoogleTrends-style time axis, and the machine-readable BENCH_<name>.json
+// emitter the CI perf trajectory ingests.
 
 #include <algorithm>
 #include <cmath>
@@ -43,22 +42,6 @@ inline double PeakRssBytes() {
 #else
   return 0.0;
 #endif
-}
-
-/// Nearest-rank percentile, p in (0, 1]: sorts `samples` in place and
-/// returns the value at 1-based rank ceil(p * n), so the p99 of 100
-/// samples is the 99th smallest, not the maximum. 0 for an empty sample.
-inline double Percentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) {
-    return 0.0;
-  }
-  std::sort(samples->begin(), samples->end());
-  // The epsilon keeps a p * n that is an integer in exact arithmetic
-  // (0.99 * 100) from rounding up to the next rank.
-  const double rank =
-      std::ceil(p * static_cast<double>(samples->size()) - 1e-9);
-  const size_t index = rank < 1.0 ? 0 : static_cast<size_t>(rank) - 1;
-  return (*samples)[std::min(index, samples->size() - 1)];
 }
 
 /// Machine-readable bench results: top-level scalar metrics plus an

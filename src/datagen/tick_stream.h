@@ -53,7 +53,8 @@ struct TickRecord {
 std::string TickStreamKeywordName(uint32_t keyword);
 
 /// Invokes `fn` for every record in arrival order without materializing
-/// the stream — the form bench_stream uses to drive 100k+ keywords.
+/// the stream — the form the stream gate tests use to drive 100k+
+/// keywords.
 void ForEachStreamTick(const TickStreamConfig& config,
                        const std::function<void(const TickRecord&)>& fn);
 

@@ -88,9 +88,7 @@ Status WriteCheckpointFile(const std::string& path, uint64_t seq,
   w.PutBytes(kCkptMagic, sizeof(kCkptMagic));
   w.PutU32(kCkptVersion);
   w.PutU64(seq);
-  w.PutU64(payload.size());
-  w.PutBytes(payload.data(), payload.size());
-  w.PutU32(Crc32(payload.data(), payload.size()));
+  w.PutChecksummed(payload);
   return AtomicWriteFile(path, w.bytes().data(), w.size(), retry);
 }
 
@@ -129,22 +127,10 @@ StatusOr<std::unique_ptr<StreamEngine>> LoadCheckpointFile(
                        std::to_string(last_seq) + " but its name says " +
                        std::to_string(expected_seq));
   }
-  DSPOT_ASSIGN_OR_RETURN(
-      const uint64_t payload_len,
-      r.GetCount(r.remaining() > 4 ? r.remaining() - 4 : 0, "payload length"));
-  const size_t payload_off = sizeof(kCkptMagic) + r.offset();
-  const uint8_t* payload = data + payload_off;
-  ByteReader trailer(payload + payload_len,
-                     bytes.size() - payload_off - payload_len, path);
-  DSPOT_ASSIGN_OR_RETURN(const uint32_t stored_crc, trailer.GetU32());
-  const uint32_t crc = Crc32(payload, payload_len);
-  if (crc != stored_crc) {
-    return Status::DataLoss(path + ": offset " + std::to_string(payload_off) +
-                            ": payload checksum mismatch (stored " +
-                            std::to_string(stored_crc) + ", computed " +
-                            std::to_string(crc) + ")");
-  }
-  return StreamEngine::DecodeState(payload, payload_len, runtime, path);
+  DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
+                         r.GetChecksummed());
+  return StreamEngine::DecodeState(payload.data(), payload.size(), runtime,
+                                   path);
 }
 
 }  // namespace

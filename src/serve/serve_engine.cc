@@ -154,9 +154,6 @@ void ServeEngine::SubmitWithCallback(ServeRequest request,
       ++stats_.admission_rejects;
       DSPOT_COUNT("serve.admission_rejects", 1);
     }
-    if (options_.record_log) {
-      request_log_.push_back(request);
-    }
     ++queued_per_tenant_[request.tenant];
     ++tenant_stats_[request.tenant].submitted;
     pending.request = std::move(request);
@@ -210,13 +207,6 @@ ServeStats ServeEngine::stats() const {
 std::map<std::string, TenantCounters> ServeEngine::tenant_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return tenant_stats_;
-}
-
-std::vector<ServeRequest> ServeEngine::TakeRequestLog() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ServeRequest> log;
-  log.swap(request_log_);
-  return log;
 }
 
 void ServeEngine::DispatchLoop() {

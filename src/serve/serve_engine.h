@@ -109,9 +109,6 @@ struct ServeOptions {
   double default_deadline_ms = 0.0;
   /// Max requests drained into one execution batch.
   size_t max_batch = 64;
-  /// Record every ADMITTED request in admission order (TakeRequestLog);
-  /// the determinism test and bench replay this log serially.
-  bool record_log = false;
   /// Fit options for kFit/kRefit (guard is overwritten per request).
   GlobalFitOptions fit;
 };
@@ -127,7 +124,8 @@ struct ServeStats {
 };
 
 /// Per-tenant admission accounting (keyed by ServeRequest::tenant; the
-/// default tenant is ""). The fairness gates in bench_serve read these.
+/// default tenant is ""). The tenant-quota tests in serve_test and
+/// net_server_test read these.
 struct TenantCounters {
   uint64_t submitted = 0;  ///< admitted into this tenant's slice
   uint64_t shed = 0;       ///< this tenant's requests shed by admission
@@ -171,9 +169,6 @@ class ServeEngine {
   /// Per-tenant admission counters, keyed by tenant name ("" = default).
   std::map<std::string, TenantCounters> tenant_stats() const;
 
-  /// The admitted-request log (requires options.record_log); clears it.
-  std::vector<ServeRequest> TakeRequestLog();
-
  private:
   struct Pending {
     ServeRequest request;
@@ -202,7 +197,6 @@ class ServeEngine {
   bool stopping_ = false;
   ServeStats stats_;
   std::map<std::string, TenantCounters> tenant_stats_;
-  std::vector<ServeRequest> request_log_;
 
   std::thread dispatcher_;
 };

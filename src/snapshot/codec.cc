@@ -33,6 +33,12 @@ void ByteWriter::PutBytes(const void* data, size_t n) {
   bytes_.insert(bytes_.end(), p, p + n);
 }
 
+void ByteWriter::PutChecksummed(const std::vector<uint8_t>& payload) {
+  PutU64(payload.size());
+  PutBytes(payload.data(), payload.size());
+  PutU32(Crc32(payload.data(), payload.size()));
+}
+
 Status ByteReader::CorruptAt(const std::string& what) const {
   return Status::DataLoss(context_ + ": offset " + std::to_string(offset_) +
                           ": " + what);
@@ -94,6 +100,26 @@ StatusOr<uint64_t> ByteReader::GetCount(uint64_t max, const char* what) {
                             " exceeds limit " + std::to_string(max));
   }
   return v;
+}
+
+StatusOr<std::span<const uint8_t>> ByteReader::GetChecksummed() {
+  // The cap is taken before the length is read, so it leaves room for the
+  // 8-byte length itself and the 4-byte CRC trailer.
+  DSPOT_ASSIGN_OR_RETURN(
+      const uint64_t len,
+      GetCount(remaining() > 12 ? remaining() - 12 : 0, "payload length"));
+  const size_t at = offset_;
+  const std::span<const uint8_t> payload(data_ + at, static_cast<size_t>(len));
+  offset_ += payload.size();
+  DSPOT_ASSIGN_OR_RETURN(const uint32_t stored_crc, GetU32());
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  if (crc != stored_crc) {
+    return Status::DataLoss(context_ + ": offset " + std::to_string(at) +
+                            ": payload checksum mismatch (stored " +
+                            std::to_string(stored_crc) + ", computed " +
+                            std::to_string(crc) + ")");
+  }
+  return payload;
 }
 
 uint32_t Crc32(const uint8_t* data, size_t n) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,9 @@ class ByteWriter {
   /// u64 length prefix + raw bytes.
   void PutString(const std::string& s);
   void PutBytes(const void* data, size_t n);
+  /// "u64 length | payload | u32 CRC-32 of the payload": the checksummed
+  /// body of the snapshot, stream-state and checkpoint files.
+  void PutChecksummed(const std::vector<uint8_t>& payload);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t>&& TakeBytes() { return std::move(bytes_); }
@@ -51,6 +55,11 @@ class ByteReader {
   /// that keeps a corrupted length prefix from driving a multi-gigabyte
   /// allocation before the checksum would have caught it.
   StatusOr<uint64_t> GetCount(uint64_t max, const char* what);
+
+  /// Reads a PutChecksummed body and returns a view of its payload, without
+  /// copying it. A length that overruns the buffer, a missing trailer or a
+  /// CRC mismatch is DataLoss.
+  StatusOr<std::span<const uint8_t>> GetChecksummed();
 
   size_t offset() const { return offset_; }
   size_t remaining() const { return size_ - offset_; }

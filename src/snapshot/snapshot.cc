@@ -844,9 +844,7 @@ std::vector<uint8_t> EncodeSnapshotFile(const ModelSnapshot& snapshot) {
   ByteWriter file;
   file.PutBytes(kMagic, sizeof(kMagic));
   file.PutU32(kSnapshotVersion);
-  file.PutU64(payload.size());
-  file.PutBytes(payload.data(), payload.size());
-  file.PutU32(Crc32(payload.data(), payload.size()));
+  file.PutChecksummed(payload);
   return std::move(file).TakeBytes();
 }
 
@@ -865,27 +863,9 @@ StatusOr<ModelSnapshot> DecodeSnapshotFile(const uint8_t* data, size_t size,
         std::to_string(version) + " (this build reads version " +
         std::to_string(kSnapshotVersion) + ")");
   }
-  // The cap leaves room for the 8-byte length itself and the 4-byte CRC
-  // trailer: a cap taken before the length is read would let a payload
-  // overrun the buffer by up to 4 bytes.
-  DSPOT_ASSIGN_OR_RETURN(
-      uint64_t payload_len,
-      r.GetCount(r.remaining() > 12 ? r.remaining() - 12 : 0,
-                 "payload length"));
-  const size_t payload_off = sizeof(kMagic) + r.offset();
-  const uint8_t* payload = data + payload_off;
-  ByteReader trailer(payload + payload_len, size - payload_off - payload_len,
-                     context);
-  DSPOT_ASSIGN_OR_RETURN(uint32_t stored_crc, trailer.GetU32());
-  const uint32_t crc = Crc32(payload, payload_len);
-  if (crc != stored_crc) {
-    return Status::DataLoss(context + ": offset " +
-                            std::to_string(payload_off) +
-                            ": payload checksum mismatch (stored " +
-                            std::to_string(stored_crc) + ", computed " +
-                            std::to_string(crc) + ")");
-  }
-  ByteReader payload_reader(payload, payload_len, context);
+  DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
+                         r.GetChecksummed());
+  ByteReader payload_reader(payload.data(), payload.size(), context);
   return DecodeSnapshotPayload(&payload_reader);
 }
 

@@ -203,8 +203,7 @@ class StreamEngine {
   /// Canonical little-endian encoding of the complete engine state
   /// (options, every keyword stream, fitted models, published forecasts,
   /// counters). Bit-identical for engines that absorbed the same stream,
-  /// at any thread count — the determinism oracle used by tests and
-  /// bench_stream.
+  /// at any thread count — the determinism oracle used by the tests.
   std::vector<uint8_t> EncodeState() const;
 
   /// Writes the engine state ("DSPOTSTM" magic, version, CRC-32) so a

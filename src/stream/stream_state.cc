@@ -291,9 +291,7 @@ Status StreamEngine::SaveState(const std::string& path) const {
   ByteWriter file;
   file.PutBytes(kMagic, sizeof(kMagic));
   file.PutU32(kStreamStateVersion);
-  file.PutU64(payload.size());
-  file.PutBytes(payload.data(), payload.size());
-  file.PutU32(Crc32(payload.data(), payload.size()));
+  file.PutChecksummed(payload);
   // Atomic replacement: a crashed or failed save leaves any previous
   // state file exactly as it was, never a truncated hybrid.
   DSPOT_RETURN_IF_ERROR(
@@ -330,22 +328,9 @@ StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::LoadState(
         std::to_string(version) + " (this build reads version " +
         std::to_string(kStreamStateVersion) + ")");
   }
-  DSPOT_ASSIGN_OR_RETURN(
-      const uint64_t payload_len,
-      r.GetCount(r.remaining() > 4 ? r.remaining() - 4 : 0, "payload length"));
-  const size_t payload_off = sizeof(kMagic) + r.offset();
-  const uint8_t* payload = data + payload_off;
-  ByteReader trailer(payload + payload_len,
-                     bytes.size() - payload_off - payload_len, path);
-  DSPOT_ASSIGN_OR_RETURN(const uint32_t stored_crc, trailer.GetU32());
-  const uint32_t crc = Crc32(payload, payload_len);
-  if (crc != stored_crc) {
-    return Status::DataLoss(path + ": offset " + std::to_string(payload_off) +
-                            ": payload checksum mismatch (stored " +
-                            std::to_string(stored_crc) + ", computed " +
-                            std::to_string(crc) + ")");
-  }
-  ByteReader payload_reader(payload, payload_len, path);
+  DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
+                         r.GetChecksummed());
+  ByteReader payload_reader(payload.data(), payload.size(), path);
   return StreamStateCodec::Decode(&payload_reader, runtime);
 }
 

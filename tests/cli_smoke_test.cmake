@@ -1,6 +1,7 @@
 # CLI smoke test, run via `cmake -P` from a ctest entry. Exercises the
-# strict numeric-flag parsing (rejections must fail with a usage error,
-# not mis-parse to zero) and the observability exports (--metrics-json /
+# strict flag parsing (numeric rejections must fail with a usage error,
+# not mis-parse to zero; unknown flags and stray arguments are rejected)
+# and the observability exports (--metrics-json /
 # --trace-out must produce valid-looking JSON with the core fit spans).
 #
 # Expects:
@@ -64,6 +65,19 @@ expect_usage_error("--flush-every: 0 must be"
                    "${DSPOT_CLI}" stream --events nofile.csv --flush-every 0)
 expect_usage_error("usage: dspot_cli stream"
                    "${DSPOT_CLI}" stream)
+
+# --- Unknown flags and stray arguments ---------------------------------------
+# A misspelled flag fails before any work is done, instead of being
+# ignored in favour of the default.
+file(REMOVE "${tensor_csv}")
+expect_usage_error("dspot_cli: --tick: unknown flag"
+                   "${DSPOT_CLI}" generate --scenario harry_potter
+                   --output "${tensor_csv}" --tick 10 --locatons 2)
+if(EXISTS "${tensor_csv}")
+  message(FATAL_ERROR "a rejected generate still wrote ${tensor_csv}")
+endif()
+expect_usage_error("dspot_cli: stray.csv: unexpected argument"
+                   "${DSPOT_CLI}" fit --series nofile.csv stray.csv)
 
 # --- Generate + observed fit -------------------------------------------------
 expect_success("${DSPOT_CLI}" generate --scenario harry_potter

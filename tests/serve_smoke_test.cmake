@@ -40,7 +40,7 @@ endfunction()
 # --- Strict flag rejections -------------------------------------------------
 expect_usage_error("dspot_serve: --queue-cap: not an integer: '10x'"
                    "${DSPOT_SERVE}" --queue-cap 10x)
-expect_usage_error("dspot_serve: --queue-cap: 0 is out of range"
+expect_usage_error("dspot_serve: --queue-cap: 0 must be >= 1"
                    "${DSPOT_SERVE}" --queue-cap=0)
 expect_usage_error("dspot_serve: --deadline-ms: not a number: 'fast'"
                    "${DSPOT_SERVE}" --deadline-ms fast)
@@ -52,9 +52,9 @@ expect_usage_error("dspot_serve: --max-resident-bytes: not a byte size: '-1'"
                    "${DSPOT_SERVE}" --max-resident-bytes=-1)
 expect_usage_error("dspot_serve: --threads: requires an integer value"
                    "${DSPOT_SERVE}" --threads)
-expect_usage_error("dspot_serve: unknown flag '--no-such-flag'"
+expect_usage_error("dspot_serve: --no-such-flag: unknown flag"
                    "${DSPOT_SERVE}" --no-such-flag 1)
-expect_usage_error("dspot_serve: unexpected argument 'serve'"
+expect_usage_error("dspot_serve: serve: unexpected argument"
                    "${DSPOT_SERVE}" serve)
 
 # --- Request generator ------------------------------------------------------

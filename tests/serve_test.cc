@@ -22,6 +22,7 @@
 #include <future>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -1323,7 +1324,7 @@ TEST(ServeEngine, ConcurrentStopIsSafe) {
 // The serving acceptance bar: N concurrent clients with mixed
 // forecast/refit/outlier traffic against an EVICTING registry produce
 // replies bit-identical to a single-threaded serial replay of the
-// admitted request log.
+// requests in admission order.
 TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
   constexpr size_t kClients = 4;
   constexpr size_t kKeywords = 6;
@@ -1341,8 +1342,13 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
   ServeOptions serve_options;
   serve_options.num_threads = 4;
   serve_options.max_batch = 8;
-  serve_options.record_log = true;
   ServeEngine engine(&registry, serve_options);
+
+  // Admission happens inside Submit, under the engine's lock. A client
+  // that submits and logs under `log_mu` therefore logs in admission
+  // order; it waits for its reply outside the lock.
+  std::mutex log_mu;
+  std::vector<ServeRequest> log;
 
   // Phase 1: fit every keyword (serially, so the mixed phase always finds
   // a model).
@@ -1352,16 +1358,18 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
     fit.op = ServeOp::kFit;
     fit.keyword = "kw" + std::to_string(kw);
     fit.values = TestSeries(kTicks, 0.1 * static_cast<double>(kw));
+    log.push_back(fit);
     ASSERT_TRUE(engine.Call(fit).status.ok());
   }
 
   // Phase 2: concurrent clients, each issuing a deterministic mix keyed
-  // by (client, step). Call() blocks per client, so admission order is a
-  // race — whatever order wins is captured in the request log.
+  // by (client, step). Each client waits for its reply before its next
+  // request, so admission order is a race — whatever order wins is the
+  // order of the log.
   std::vector<std::map<uint64_t, ServeReply>> replies(kClients);
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([c, &engine, &replies] {
+    clients.emplace_back([c, &engine, &replies, &log_mu, &log] {
       for (size_t step = 0; step < kRequestsPerClient; ++step) {
         const uint64_t id = 1000 + c * 1000 + step;
         const size_t kw = (c * 7 + step * 3) % kKeywords;
@@ -1380,14 +1388,19 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
           request.values =
               TestSeries(kTicks + 8, 0.1 * static_cast<double>(kw));
         }
-        replies[c][id] = engine.Call(request);
+        std::future<ServeReply> reply;
+        {
+          std::lock_guard<std::mutex> lock(log_mu);
+          reply = engine.Submit(request);
+          log.push_back(std::move(request));
+        }
+        replies[c][id] = reply.get();
       }
     });
   }
   for (std::thread& t : clients) {
     t.join();
   }
-  const std::vector<ServeRequest> log = engine.TakeRequestLog();
   ASSERT_EQ(log.size(), kKeywords + kClients * kRequestsPerClient);
   const RegistryStats concurrent_stats = registry.stats();
   EXPECT_GT(concurrent_stats.evictions, 0u)

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -464,6 +465,42 @@ TEST(Stream, LoadStateDetectsCorruptedPayload) {
   auto loaded = StreamEngine::LoadState(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+}
+
+// Every strict prefix of a saved state fails to load with an error that
+// names the file: up to the whole magic as not a state file, past it as
+// DataLoss at an offset. Each prefix is written as a file of its own, so a
+// read past its end is a sanitizer error.
+TEST(Stream, LoadStateRejectsEveryTruncation) {
+  StreamEngine engine(SmallOptions());
+  for (int64_t t = 0; t < 40; ++t) {
+    ASSERT_TRUE(engine.Append("kw", "all", t, QuietCount(t)).ok());
+  }
+  ASSERT_TRUE(engine.Flush().ok());
+  const std::string path = TempPath("whole.state");
+  ASSERT_TRUE(engine.SaveState(path).ok());
+  std::ifstream is(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_FALSE(bytes.empty());
+
+  const std::string cut_path = TempPath("truncated.state");
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    std::ofstream(cut_path, std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(len));
+    auto loaded = StreamEngine::LoadState(cut_path);
+    ASSERT_FALSE(loaded.ok()) << "prefix " << len;
+    const Status& status = loaded.status();
+    EXPECT_EQ(status.code(), len < 8 ? StatusCode::kInvalidArgument
+                                     : StatusCode::kDataLoss)
+        << "prefix " << len << ": " << status.ToString();
+    EXPECT_EQ(status.message().rfind(cut_path + ": ", 0), 0u)
+        << status.ToString();
+    if (len >= 8) {
+      EXPECT_NE(status.message().find(": offset "), std::string::npos)
+          << status.ToString();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -63,12 +63,14 @@
 //
 // Flags accept both "--key value" and "--key=value". Numeric flags are
 // parsed strictly: empty values, trailing garbage ("12x"), and
-// out-of-range magnitudes are usage errors, never silently zero.
+// out-of-range magnitudes are usage errors, never silently zero. An
+// unknown flag or a stray positional argument is a usage error too.
 //
 // Exit code 0 on success, 1 on any error (message on stderr). A fit cut
 // short by --time-budget-ms still exits 0: the partial model is usable
 // and the health line says "DeadlineExceeded".
 
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -79,7 +81,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/parse_util.h"
+#include "common/flags.h"
 #include "core/dspot.h"
 #include "durable/durable_engine.h"
 #include "durable/durable_file.h"
@@ -98,92 +100,6 @@
 
 namespace dspot {
 namespace {
-
-/// Minimal flag parser: --key value and --key=value after the subcommand.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc;) {
-      std::string key = argv[i];
-      // "--key=value" carries its value in the same token.
-      const size_t eq = key.find('=');
-      if (key.rfind("--", 0) == 0 && eq != std::string::npos) {
-        const std::string value = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        present_.push_back(key);
-        values_[key] = value;
-        i += 1;
-        continue;
-      }
-      present_.push_back(key);
-      // "--key value" pairs consume two tokens; a flag followed by another
-      // flag (or nothing) is boolean.
-      if (key.rfind("--", 0) == 0 && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[i + 1];
-        i += 2;
-      } else {
-        i += 1;
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  bool HasValue(const std::string& key) const {
-    return values_.find(key) != values_.end();
-  }
-
-  bool Has(const std::string& key) const {
-    for (const std::string& p : present_) {
-      if (p == key) return true;
-    }
-    return false;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> present_;
-};
-
-/// Strict integer flag: absent -> fallback; present -> the whole value
-/// must parse as an integer in [min_value, max_value], else a usage error
-/// is printed and false returned. This replaces atol(), whose silent
-/// "garbage parses as 0" turned typos like --threads=1O into requests for
-/// zero threads.
-bool ParseIntFlag(const Flags& flags, const char* key, long fallback,
-                  long min_value, long max_value, long* out) {
-  *out = fallback;
-  if (!flags.Has(key)) {
-    return true;
-  }
-  if (!flags.HasValue(key)) {
-    std::fprintf(stderr, "flag %s requires an integer value\n", key);
-    return false;
-  }
-  auto parsed = ParseInt64Text(flags.GetString(key));
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "flag %s: %s\n", key,
-                 parsed.status().message().c_str());
-    return false;
-  }
-  if (*parsed < min_value || *parsed > max_value) {
-    if (max_value == std::numeric_limits<long>::max()) {
-      std::fprintf(stderr, "flag %s: %lld must be >= %ld\n", key,
-                   static_cast<long long>(*parsed), min_value);
-    } else {
-      std::fprintf(stderr, "flag %s: %lld is out of range [%ld, %ld]\n", key,
-                   static_cast<long long>(*parsed), min_value, max_value);
-    }
-    return false;
-  }
-  *out = static_cast<long>(*parsed);
-  return true;
-}
 
 /// Shared handling of --metrics-json / --trace-out on the fit commands.
 /// Arms the observation layer before the fit when either flag is present
@@ -291,13 +207,13 @@ int CmdGenerate(const Flags& flags) {
                  name.c_str());
     return 1;
   }
-  long seed = 0, ticks = 0, locations = 0, outliers = 0;
-  const long kMaxLong = std::numeric_limits<long>::max();
-  if (!ParseIntFlag(flags, "--seed", 42, std::numeric_limits<long>::min(),
-                    kMaxLong, &seed) ||
-      !ParseIntFlag(flags, "--ticks", 575, 1, kMaxLong, &ticks) ||
-      !ParseIntFlag(flags, "--locations", 20, 1, kMaxLong, &locations) ||
-      !ParseIntFlag(flags, "--outliers", 3, 0, kMaxLong, &outliers)) {
+  int64_t seed = 0, ticks = 0, locations = 0, outliers = 0;
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  if (!flags.ParseInt("--seed", 42, std::numeric_limits<int64_t>::min(),
+                      kMax, &seed) ||
+      !flags.ParseInt("--ticks", 575, 1, kMax, &ticks) ||
+      !flags.ParseInt("--locations", 20, 1, kMax, &locations) ||
+      !flags.ParseInt("--outliers", 3, 0, kMax, &outliers)) {
     return 1;
   }
   GeneratorConfig config = GoogleTrendsConfig(static_cast<uint64_t>(seed));
@@ -355,15 +271,14 @@ int CmdFit(const Flags& flags) {
                  "[--metrics-json FILE] [--trace-out FILE]\n");
     return 1;
   }
-  const long kMaxLong = std::numeric_limits<long>::max();
-  long threads = 0, time_budget_ms = 0, horizon = 0;
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t threads = 0, time_budget_ms = 0, horizon = 0;
   // --threads must be >= 1 when given: an explicit 0 is almost always a
   // mangled value (atol("bad") was 0), and "auto" is spelled by omitting
   // the flag. Leaving it out still selects hardware concurrency.
-  if (!ParseIntFlag(flags, "--threads", 0, 1, kMaxLong, &threads) ||
-      !ParseIntFlag(flags, "--time-budget-ms", 0, 0, kMaxLong,
-                    &time_budget_ms) ||
-      !ParseIntFlag(flags, "--forecast", 0, 0, kMaxLong, &horizon)) {
+  if (!flags.ParseInt("--threads", 0, 1, kMax, &threads) ||
+      !flags.ParseInt("--time-budget-ms", 0, 0, kMax, &time_budget_ms) ||
+      !flags.ParseInt("--forecast", 0, 0, kMax, &horizon)) {
     return 1;
   }
   CsvReadOptions read_options;
@@ -420,9 +335,10 @@ int CmdFit(const Flags& flags) {
         std::fprintf(stderr, "%s\n", s.ToString().c_str());
         return 1;
       }
-      std::printf("wrote %ld-tick forecast to %s\n", horizon, out.c_str());
+      std::printf("wrote %" PRId64 "-tick forecast to %s\n", horizon,
+                  out.c_str());
     } else {
-      std::printf("\nforecast (%ld ticks):\n", horizon);
+      std::printf("\nforecast (%" PRId64 " ticks):\n", horizon);
       for (size_t t = 0; t < forecast->size(); ++t) {
         std::printf("%zu,%.3f\n", series->size() + t, (*forecast)[t]);
       }
@@ -442,11 +358,10 @@ int CmdFitTensor(const Flags& flags) {
                  "[--trace-out FILE]\n");
     return 1;
   }
-  const long kMaxLong = std::numeric_limits<long>::max();
-  long threads = 0, time_budget_ms = 0;
-  if (!ParseIntFlag(flags, "--threads", 0, 1, kMaxLong, &threads) ||
-      !ParseIntFlag(flags, "--time-budget-ms", 0, 0, kMaxLong,
-                    &time_budget_ms)) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t threads = 0, time_budget_ms = 0;
+  if (!flags.ParseInt("--threads", 0, 1, kMax, &threads) ||
+      !flags.ParseInt("--time-budget-ms", 0, 0, kMax, &time_budget_ms)) {
     return 1;
   }
   CsvReadOptions read_options;
@@ -531,11 +446,11 @@ int CmdAggregate(const Flags& flags) {
                  "[--resolution N] [--origin T] [--skip-bad-rows]\n");
     return 1;
   }
-  long resolution = 0, origin = 0;
-  if (!ParseIntFlag(flags, "--resolution", 1, 1,
-                    std::numeric_limits<long>::max(), &resolution) ||
-      !ParseIntFlag(flags, "--origin", 0, std::numeric_limits<long>::min(),
-                    std::numeric_limits<long>::max(), &origin)) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t resolution = 0, origin = 0;
+  if (!flags.ParseInt("--resolution", 1, 1, kMax, &resolution) ||
+      !flags.ParseInt("--origin", 0, std::numeric_limits<int64_t>::min(),
+                      kMax, &origin)) {
     return 1;
   }
   AggregationConfig config;
@@ -577,11 +492,10 @@ int CmdRefit(const Flags& flags) {
                  "[--metrics-json FILE] [--trace-out FILE]\n");
     return 1;
   }
-  const long kMaxLong = std::numeric_limits<long>::max();
-  long threads = 0, time_budget_ms = 0;
-  if (!ParseIntFlag(flags, "--threads", 0, 1, kMaxLong, &threads) ||
-      !ParseIntFlag(flags, "--time-budget-ms", 0, 0, kMaxLong,
-                    &time_budget_ms)) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t threads = 0, time_budget_ms = 0;
+  if (!flags.ParseInt("--threads", 0, 1, kMax, &threads) ||
+      !flags.ParseInt("--time-budget-ms", 0, 0, kMax, &time_budget_ms)) {
     return 1;
   }
   auto model = LoadModelFlag(flags);
@@ -670,13 +584,11 @@ int CmdUpdate(const Flags& flags) {
                  "[--trace-out FILE]\n");
     return 1;
   }
-  const long kMaxLong = std::numeric_limits<long>::max();
-  long threads = 0, time_budget_ms = 0, append_start = -1;
-  if (!ParseIntFlag(flags, "--threads", 0, 1, kMaxLong, &threads) ||
-      !ParseIntFlag(flags, "--time-budget-ms", 0, 0, kMaxLong,
-                    &time_budget_ms) ||
-      !ParseIntFlag(flags, "--append-start", -1, 0, kMaxLong,
-                    &append_start)) {
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t threads = 0, time_budget_ms = 0, append_start = -1;
+  if (!flags.ParseInt("--threads", 0, 1, kMax, &threads) ||
+      !flags.ParseInt("--time-budget-ms", 0, 0, kMax, &time_budget_ms) ||
+      !flags.ParseInt("--append-start", -1, 0, kMax, &append_start)) {
     return 1;
   }
   auto model = LoadModelFlag(flags);
@@ -797,21 +709,20 @@ int CmdStream(const Flags& flags) {
       return 1;
     }
   }
-  const long kMaxLong = std::numeric_limits<long>::max();
-  long resolution = 0, origin = 0, flush_every = 0, ring = 0, horizon = 0;
-  long threads = 0, flush_budget_ms = 0, kill_after = 0;
-  if (!ParseIntFlag(flags, "--resolution", 1, 1, kMaxLong, &resolution) ||
-      !ParseIntFlag(flags, "--origin", 0, std::numeric_limits<long>::min(),
-                    kMaxLong, &origin) ||
-      !ParseIntFlag(flags, "--flush-every", 16, 1, kMaxLong, &flush_every) ||
-      !ParseIntFlag(flags, "--ring", 256, 16, kMaxLong, &ring) ||
-      !ParseIntFlag(flags, "--horizon", 16, 1, kMaxLong, &horizon) ||
-      !ParseIntFlag(flags, "--threads", 1, 1, kMaxLong, &threads) ||
-      !ParseIntFlag(flags, "--flush-budget-ms", 0, 0, kMaxLong,
-                    &flush_budget_ms) ||
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t resolution = 0, origin = 0, flush_every = 0, ring = 0, horizon = 0;
+  int64_t threads = 0, flush_budget_ms = 0, kill_after = 0;
+  if (!flags.ParseInt("--resolution", 1, 1, kMax, &resolution) ||
+      !flags.ParseInt("--origin", 0, std::numeric_limits<int64_t>::min(),
+                      kMax, &origin) ||
+      !flags.ParseInt("--flush-every", 16, 1, kMax, &flush_every) ||
+      !flags.ParseInt("--ring", 256, 16, kMax, &ring) ||
+      !flags.ParseInt("--horizon", 16, 1, kMax, &horizon) ||
+      !flags.ParseInt("--threads", 1, 1, kMax, &threads) ||
+      !flags.ParseInt("--flush-budget-ms", 0, 0, kMax, &flush_budget_ms) ||
       // Undocumented crash hook for the durability smoke test: SIGKILL the
       // process right after the Nth accepted append (0 = disabled).
-      !ParseIntFlag(flags, "--kill-after", 0, 0, kMaxLong, &kill_after)) {
+      !flags.ParseInt("--kill-after", 0, 0, kMax, &kill_after)) {
     return 1;
   }
   const ObsExportRequest obs_export = ObsExportRequest::FromFlags(flags);
@@ -906,7 +817,7 @@ int CmdStream(const Flags& flags) {
         std::max<int64_t>(engine->options().ticks_resolution, 1);
     const int64_t eng_origin = engine->options().origin;
     int64_t last_flush_bucket = std::numeric_limits<int64_t>::min();
-    long accepted_appends = 0;
+    int64_t accepted_appends = 0;
     Status replay = ForEachEventCsv(
         events, read_options, [&](const EventRecord& r) -> Status {
           // Flush whenever stream time crosses a --flush-every boundary,
@@ -1018,7 +929,19 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
+  const Flags flags("dspot_cli", argc, argv, 2);
+  if (!flags.RejectUnknown(
+          {"--append", "--append-start", "--cold", "--events",
+           "--flush-budget-ms", "--flush-every", "--forecast",
+           "--forecast-output", "--fsync-policy", "--horizon", "--input",
+           "--kill-after", "--load-state", "--locations", "--metrics-json",
+           "--model", "--model-json", "--origin", "--outliers",
+           "--outliers-for", "--output", "--recover", "--resolution", "--ring",
+           "--save-model", "--save-state", "--scenario", "--seed", "--series",
+           "--skip-bad-keywords", "--skip-bad-rows", "--threads", "--ticks",
+           "--time-budget-ms", "--trace-out", "--wal-dir"})) {
+    return 1;
+  }
   if (command == "scenarios") return CmdScenarios();
   if (command == "generate") return CmdGenerate(flags);
   if (command == "aggregate") return CmdAggregate(flags);

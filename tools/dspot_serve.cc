@@ -39,9 +39,9 @@
 // stops accepting/reading, flushes in-flight replies to every connection.
 // Either way --metrics-json is still written and the exit code is 0.
 //
-// Numeric flags parse strictly (see src/common/parse_util.h): empty
-// values, trailing garbage and unknown suffixes are usage errors naming
-// the flag, never silently zero.
+// Flags parse strictly (see src/common/flags.h): empty values, trailing
+// garbage, unknown suffixes and unknown flags are usage errors naming the
+// flag, never silently zero or ignored.
 //
 // Exit code 0 on success (including error *replies* — those belong to
 // their requests), 1 on a transport or usage error.
@@ -59,7 +59,6 @@
 #include <future>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -75,6 +74,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/flags.h"
 #include "common/parse_util.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -133,134 +133,6 @@ bool InstallShutdownHandlers() {
   return true;
 }
 
-/// Minimal flag parser: --key value and --key=value (same contract as
-/// dspot_cli's).
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc;) {
-      std::string key = argv[i];
-      const size_t eq = key.find('=');
-      if (key.rfind("--", 0) == 0 && eq != std::string::npos) {
-        const std::string value = key.substr(eq + 1);
-        key = key.substr(0, eq);
-        present_.push_back(key);
-        values_[key] = value;
-        i += 1;
-        continue;
-      }
-      present_.push_back(key);
-      if (key.rfind("--", 0) == 0 && i + 1 < argc &&
-          std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[i + 1];
-        i += 2;
-      } else {
-        i += 1;
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  bool HasValue(const std::string& key) const {
-    return values_.find(key) != values_.end();
-  }
-
-  bool Has(const std::string& key) const {
-    for (const std::string& p : present_) {
-      if (p == key) return true;
-    }
-    return false;
-  }
-
-  /// Every token seen on the command line (flags and positionals alike),
-  /// for strict unknown-flag rejection.
-  const std::vector<std::string>& Present() const { return present_; }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> present_;
-};
-
-/// Located usage error: "dspot_serve: --queue-cap: not an integer: '2x'".
-void FlagError(const char* key, const Status& status) {
-  std::fprintf(stderr, "dspot_serve: %s: %s\n", key,
-               status.message().c_str());
-}
-
-bool ParseIntFlag(const Flags& flags, const char* key, int64_t fallback,
-                  int64_t min_value, int64_t max_value, int64_t* out) {
-  *out = fallback;
-  if (!flags.Has(key)) {
-    return true;
-  }
-  if (!flags.HasValue(key)) {
-    std::fprintf(stderr, "dspot_serve: %s: requires an integer value\n", key);
-    return false;
-  }
-  auto parsed = ParseInt64Text(flags.GetString(key));
-  if (!parsed.ok()) {
-    FlagError(key, parsed.status());
-    return false;
-  }
-  if (*parsed < min_value || *parsed > max_value) {
-    std::fprintf(stderr,
-                 "dspot_serve: %s: %" PRId64 " is out of range [%" PRId64
-                 ", %" PRId64 "]\n",
-                 key, *parsed, min_value, max_value);
-    return false;
-  }
-  *out = *parsed;
-  return true;
-}
-
-bool ParseDoubleFlag(const Flags& flags, const char* key, double fallback,
-                     double min_value, double* out) {
-  *out = fallback;
-  if (!flags.Has(key)) {
-    return true;
-  }
-  if (!flags.HasValue(key)) {
-    std::fprintf(stderr, "dspot_serve: %s: requires a numeric value\n", key);
-    return false;
-  }
-  auto parsed = ParseDoubleText(flags.GetString(key));
-  if (!parsed.ok()) {
-    FlagError(key, parsed.status());
-    return false;
-  }
-  if (*parsed < min_value) {
-    std::fprintf(stderr, "dspot_serve: %s: %g must be >= %g\n", key, *parsed,
-                 min_value);
-    return false;
-  }
-  *out = *parsed;
-  return true;
-}
-
-bool ParseByteSizeFlag(const Flags& flags, const char* key, uint64_t fallback,
-                       uint64_t* out) {
-  *out = fallback;
-  if (!flags.Has(key)) {
-    return true;
-  }
-  if (!flags.HasValue(key)) {
-    std::fprintf(stderr, "dspot_serve: %s: requires a byte size value\n", key);
-    return false;
-  }
-  auto parsed = ParseByteSizeText(flags.GetString(key));
-  if (!parsed.ok()) {
-    FlagError(key, parsed.status());
-    return false;
-  }
-  *out = *parsed;
-  return true;
-}
-
 /// xorshift64* — the deterministic generator behind --gen-requests.
 uint64_t NextRand(uint64_t* state) {
   uint64_t x = *state;
@@ -298,11 +170,11 @@ int GenerateRequests(const Flags& flags) {
   int64_t horizon = 0;
   int64_t seed = 0;
   const int64_t kMax = std::numeric_limits<int64_t>::max();
-  if (!ParseIntFlag(flags, "--gen-requests", 200, 1, kMax, &n) ||
-      !ParseIntFlag(flags, "--gen-keywords", 20, 1, kMax, &keywords) ||
-      !ParseIntFlag(flags, "--gen-ticks", 96, 16, kMax, &ticks) ||
-      !ParseIntFlag(flags, "--gen-horizon", 8, 1, kMax, &horizon) ||
-      !ParseIntFlag(flags, "--seed", 42, 0, kMax, &seed)) {
+  if (!flags.ParseInt("--gen-requests", 200, 1, kMax, &n) ||
+      !flags.ParseInt("--gen-keywords", 20, 1, kMax, &keywords) ||
+      !flags.ParseInt("--gen-ticks", 96, 16, kMax, &ticks) ||
+      !flags.ParseInt("--gen-horizon", 8, 1, kMax, &horizon) ||
+      !flags.ParseInt("--seed", 42, 0, kMax, &seed)) {
     return 1;
   }
   uint64_t state = static_cast<uint64_t>(seed) ^ 0x9E3779B97F4A7C15ull;
@@ -487,16 +359,16 @@ int Serve(const Flags& flags) {
   double deadline_ms = 0.0;
   uint64_t max_resident_bytes = 0;
   const int64_t kMax = std::numeric_limits<int64_t>::max();
-  if (!ParseIntFlag(flags, "--threads", 1, 0, kMax, &threads) ||
-      !ParseIntFlag(flags, "--queue-cap", 1024, 1, kMax, &queue_cap) ||
-      !ParseIntFlag(flags, "--shards", 8, 1, kMax, &shards) ||
-      !ParseIntFlag(flags, "--max-batch", 64, 1, kMax, &max_batch) ||
-      !ParseIntFlag(flags, "--tenant-quota", 0, 0, kMax, &tenant_quota) ||
-      !ParseIntFlag(flags, "--listen", 0, 0, 65535, &listen_port) ||
-      !ParseIntFlag(flags, "--max-conns", 256, 1, kMax, &max_conns) ||
-      !ParseDoubleFlag(flags, "--deadline-ms", 0.0, 0.0, &deadline_ms) ||
-      !ParseByteSizeFlag(flags, "--max-resident-bytes", 256ull << 20,
-                         &max_resident_bytes)) {
+  if (!flags.ParseInt("--threads", 1, 0, kMax, &threads) ||
+      !flags.ParseInt("--queue-cap", 1024, 1, kMax, &queue_cap) ||
+      !flags.ParseInt("--shards", 8, 1, kMax, &shards) ||
+      !flags.ParseInt("--max-batch", 64, 1, kMax, &max_batch) ||
+      !flags.ParseInt("--tenant-quota", 0, 0, kMax, &tenant_quota) ||
+      !flags.ParseInt("--listen", 0, 0, 65535, &listen_port) ||
+      !flags.ParseInt("--max-conns", 256, 1, kMax, &max_conns) ||
+      !flags.ParseDouble("--deadline-ms", 0.0, 0.0, &deadline_ms) ||
+      !flags.ParseByteSize("--max-resident-bytes", 256ull << 20,
+                           &max_resident_bytes)) {
     return 1;
   }
   const std::string metrics_path = flags.GetString("--metrics-json");
@@ -767,44 +639,17 @@ int Connect(const Flags& flags) {
 #endif
 }
 
-/// A typo'd flag on a long-running server must fail fast at startup, not
-/// be silently ignored while the operator believes it took effect.
-bool RejectUnknownArguments(const Flags& flags) {
-  static const char* kKnown[] = {
-      "--help",         "--threads",      "--queue-cap",
-      "--shards",       "--max-batch",    "--deadline-ms",
-      "--max-resident-bytes",             "--spill-dir",
-      "--metrics-json", "--gen-requests", "--gen-keywords",
-      "--gen-ticks",    "--gen-horizon",  "--seed",
-      "--print-replies", "--tenant-quota", "--listen",
-      "--max-conns",    "--port-file",    "--connect",
-      "--tenant"};
-  for (const std::string& token : flags.Present()) {
-    if (token.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "dspot_serve: unexpected argument '%s'\n",
-                   token.c_str());
-      return false;
-    }
-    bool known = false;
-    for (const char* k : kKnown) {
-      if (token == k) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr,
-                   "dspot_serve: unknown flag '%s' (see --help)\n",
-                   token.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 int Main(int argc, char** argv) {
-  Flags flags(argc, argv, 1);
-  if (!RejectUnknownArguments(flags)) {
+  const Flags flags("dspot_serve", argc, argv, 1);
+  // A typo'd flag on a long-running server must fail fast at startup, not
+  // be silently ignored while the operator believes it took effect.
+  if (!flags.RejectUnknown(
+          {"--help", "--threads", "--queue-cap", "--shards", "--max-batch",
+           "--deadline-ms", "--max-resident-bytes", "--spill-dir",
+           "--metrics-json", "--gen-requests", "--gen-keywords",
+           "--gen-ticks", "--gen-horizon", "--seed", "--print-replies",
+           "--tenant-quota", "--listen", "--max-conns", "--port-file",
+           "--connect", "--tenant"})) {
     return 1;
   }
   if (flags.Has("--help")) {
