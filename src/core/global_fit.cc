@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <span>
 
@@ -643,11 +642,6 @@ StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
     }
     const double cost = StateCostBits(probe, scratch);
     const double rmse = StateRmse(probe, scratch);
-    if (options.verbose) {
-      std::fprintf(stderr, "[dspot]   cand %s -> rmse=%.3f cost=%.1f (vs %.1f)\n",
-                   probe.shocks.back().ToString().c_str(), rmse, cost,
-                   base_cost);
-    }
     const bool mdl_better =
         cost < base_cost * (1.0 - options.min_cost_decrease) ||
         cost < base_cost - 1.0;
@@ -719,11 +713,6 @@ StatusOr<GlobalSequenceFit> RunAlternation(FitState state,
     // dynamics) is a poor basin for the shocked model.
     DSPOT_RETURN_IF_ERROR(
         FitBaseParams(&state, /*multi_start=*/!state.shocks.empty(), scratch));
-    if (options.verbose) {
-      std::fprintf(stderr, "[dspot] round %d after base: cost=%.1f rmse=%.3f\n",
-                   round, StateCostBits(state, scratch),
-                   StateRmse(state, scratch));
-    }
     if (options.allow_shocks) {
       // Refit the strengths of already-accepted shocks against the
       // refreshed base, then greedily extend the shock set.
@@ -786,21 +775,9 @@ StatusOr<GlobalSequenceFit> RunAlternation(FitState state,
     // shows up cleanly in the coding-cost balance.
     if (options.allow_growth && !interrupted()) {
       FitGrowth(&state, options, scratch);
-      if (options.verbose) {
-        std::fprintf(stderr,
-                     "[dspot] round %d after growth: cost=%.1f rmse=%.3f\n",
-                     round, StateCostBits(state, scratch),
-                     StateRmse(state, scratch));
-      }
     }
     cost = StateCostBits(state, scratch);
     const double rmse = StateRmse(state, scratch);
-    if (options.verbose) {
-      std::fprintf(stderr,
-                   "[dspot] round %d end: cost=%.1f best=%.1f rmse=%.3f "
-                   "shocks=%zu\n",
-                   round, cost, best_cost, rmse, state.shocks.size());
-    }
     ++health.iterations;
     DSPOT_OBSERVE("global_fit.round.cost_bits_delta", cost - round_start_cost);
     bool progressed = false;

@@ -58,8 +58,6 @@ struct GlobalFitOptions {
   /// real event trains save tens to hundreds. Kept small so genuine events
   /// on short sequences (e.g. 92-tick memes) survive.
   double prune_slack_bits = 4.0;
-  /// Prints per-stage costs to stderr (debugging aid).
-  bool verbose = false;
   /// Data-coding model for Cost_C (Gaussian is the paper's choice; the
   /// Poisson code is a count-aware alternative, ablated in
   /// bench_ablation_coding).

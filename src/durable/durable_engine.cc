@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -17,14 +15,10 @@
 #include <unistd.h>
 
 #include "obs/metrics.h"
-#include "snapshot/codec.h"
 
 namespace dspot {
 
 namespace {
-
-constexpr char kCkptMagic[8] = {'D', 'S', 'P', 'O', 'T', 'C', 'K', 'P'};
-constexpr uint32_t kCkptVersion = 1;
 
 /// Listing of the recognized files in a durable directory, by the
 /// sequence number embedded in their names.
@@ -81,56 +75,22 @@ StatusOr<DirListing> ScanDir(const std::string& dir) {
   return listing;
 }
 
-Status WriteCheckpointFile(const std::string& path, uint64_t seq,
-                           const std::vector<uint8_t>& payload,
-                           const RetryPolicy& retry) {
-  ByteWriter w;
-  w.PutBytes(kCkptMagic, sizeof(kCkptMagic));
-  w.PutU32(kCkptVersion);
-  w.PutU64(seq);
-  w.PutChecksummed(payload);
-  return AtomicWriteFile(path, w.bytes().data(), w.size(), retry);
-}
-
-/// Validates and decodes one checkpoint file. `expected_seq` is the
-/// sequence number from the file name; a mismatch with the embedded one
+/// Loads one checkpoint, a StreamEngine state file. `expected_seq` is the
+/// sequence number from the file name; a mismatch with the stored one
 /// means the file was renamed or spliced and cannot be trusted.
 StatusOr<std::unique_ptr<StreamEngine>> LoadCheckpointFile(
     const std::string& path, uint64_t expected_seq,
     const StreamOptions& runtime) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status::IoError("cannot open for reading: " + path);
+  uint64_t stored_seq = 0;
+  StatusOr<std::unique_ptr<StreamEngine>> engine =
+      StreamEngine::LoadState(path, runtime, &stored_seq);
+  if (engine.ok() && stored_seq != expected_seq) {
+    return Status::DataLoss(path + ": checkpoint claims sequence " +
+                            std::to_string(stored_seq) +
+                            " but its name says " +
+                            std::to_string(expected_seq));
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is && !is.eof()) {
-    return Status::IoError("read failed: " + path);
-  }
-  const std::string bytes = buf.str();
-  if (bytes.size() < sizeof(kCkptMagic) ||
-      std::memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
-    return Status::DataLoss(path + ": not a dspot checkpoint (bad magic)");
-  }
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  ByteReader r(data + sizeof(kCkptMagic), bytes.size() - sizeof(kCkptMagic),
-               path);
-  DSPOT_ASSIGN_OR_RETURN(const uint32_t version, r.GetU32());
-  if (version != kCkptVersion) {
-    return Status::InvalidArgument(
-        path + ": unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kCkptVersion) + ")");
-  }
-  DSPOT_ASSIGN_OR_RETURN(const uint64_t last_seq, r.GetU64());
-  if (last_seq != expected_seq) {
-    return r.CorruptAt("checkpoint claims sequence " +
-                       std::to_string(last_seq) + " but its name says " +
-                       std::to_string(expected_seq));
-  }
-  DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
-                         r.GetChecksummed());
-  return StreamEngine::DecodeState(payload.data(), payload.size(), runtime,
-                                   path);
+  return engine;
 }
 
 }  // namespace
@@ -233,9 +193,8 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Open(
   if (rep.fresh) {
     // Make the semantic options durable before the first append: an empty
     // checkpoint-0, then the first segment.
-    DSPOT_RETURN_IF_ERROR(WriteCheckpointFile(
-        dir + "/" + CheckpointFileName(0), 0, de->engine_->EncodeState(),
-        options.retry));
+    DSPOT_RETURN_IF_ERROR(de->engine_->SaveState(
+        dir + "/" + CheckpointFileName(0), 0, options.retry));
     de->last_checkpoint_seq_ = 0;
     DSPOT_RETURN_IF_ERROR(de->OpenFreshSegment(0));
   } else if (listing.segments.empty()) {
@@ -383,9 +342,8 @@ Status DurableEngine::Checkpoint() {
   // The outgoing segment must be durable before anything starts referring
   // past it (its tail may be unsynced under kNever/kEveryN).
   DSPOT_RETURN_IF_ERROR(wal_->Sync());
-  DSPOT_RETURN_IF_ERROR(
-      WriteCheckpointFile(dir_ + "/" + CheckpointFileName(seq), seq,
-                          engine_->EncodeState(), options_.retry));
+  DSPOT_RETURN_IF_ERROR(engine_->SaveState(
+      dir_ + "/" + CheckpointFileName(seq), seq, options_.retry));
   previous_checkpoint_seq_ = last_checkpoint_seq_;
   last_checkpoint_seq_ = seq;
   DSPOT_RETURN_IF_ERROR(OpenFreshSegment(seq));

@@ -96,12 +96,6 @@ class DurableEngine {
   static StatusOr<std::unique_ptr<DurableEngine>> Open(
       const std::string& dir, const DurableOptions& options);
 
-  /// Alias for Open emphasizing the crash-recovery path.
-  static StatusOr<std::unique_ptr<DurableEngine>> Recover(
-      const std::string& dir, const DurableOptions& options) {
-    return Open(dir, options);
-  }
-
   DurableEngine(const DurableEngine&) = delete;
   DurableEngine& operator=(const DurableEngine&) = delete;
 

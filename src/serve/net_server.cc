@@ -6,7 +6,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/epoll.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,22 +15,27 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <unordered_set>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "snapshot/codec.h"
 
 namespace dspot {
 
 namespace {
 
-/// epoll_event.data.u64 tokens for the two non-connection fds;
-/// connection ids start above them.
-constexpr uint64_t kListenerToken = 0;
-constexpr uint64_t kWakeToken = 1;
-constexpr uint64_t kFirstConnId = 2;
+/// Per-connection unflushed reply bytes above which the server stops
+/// reading that connection (admission backpressure) until it drains
+/// below half of this.
+constexpr size_t kMaxWriteBufferBytes = size_t{4} << 20;
+
+/// How long a drain lets connections finish flushing before they are
+/// force-closed (a drain must not hang on a client that stopped reading).
+constexpr double kDrainTimeoutMs = 5000.0;
+
+/// Floor of the per-connection in-flight window; the window itself is
+/// max(engine queue_cap, this).
+constexpr uint64_t kMinInFlight = 256;
 
 std::string ErrnoText() { return std::strerror(errno); }
 
@@ -43,24 +48,31 @@ std::string PeerLabel(const sockaddr_in& addr) {
 }  // namespace
 
 NetServer::NetServer(ServeEngine* engine, const NetServerOptions& options)
-    : engine_(engine), options_(options) {
-  next_conn_id_ = kFirstConnId;
+    : engine_(engine),
+      options_(options),
+      max_in_flight_(std::max<uint64_t>(engine->queue_cap(), kMinInFlight)) {
   options_.max_conns = std::max<size_t>(size_t{1}, options_.max_conns);
-  options_.max_write_buffer_bytes =
-      std::max<size_t>(size_t{4096}, options_.max_write_buffer_bytes);
 }
 
 NetServer::~NetServer() {
   for (auto& [id, conn] : conns_) {
-    ::close(conn.fd);
+    if (conn.is_socket) ::close(conn.in_fd);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
 }
 
+Status NetServer::OpenWakePipe() {
+  if (wake_fds_[0] >= 0) return Status::Ok();
+  if (::pipe2(wake_fds_, O_CLOEXEC | O_NONBLOCK) != 0) {
+    return Status::IoError("net_server: pipe2: " + ErrnoText());
+  }
+  return Status::Ok();
+}
+
 Status NetServer::Start() {
+  DSPOT_RETURN_IF_ERROR(OpenWakePipe());
   listen_fd_ =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
@@ -91,25 +103,27 @@ Status NetServer::Start() {
     return Status::IoError("net_server: getsockname: " + ErrnoText());
   }
   port_ = ntohs(bound.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    return Status::IoError("net_server: epoll_create1: " + ErrnoText());
-  }
-  if (::pipe2(wake_fds_, O_CLOEXEC | O_NONBLOCK) != 0) {
-    return Status::IoError("net_server: pipe2: " + ErrnoText());
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerToken;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
-    return Status::IoError("net_server: epoll_ctl(listener): " + ErrnoText());
-  }
-  ev.data.u64 = kWakeToken;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev) != 0) {
-    return Status::IoError("net_server: epoll_ctl(wake): " + ErrnoText());
-  }
   return Status::Ok();
+}
+
+Status NetServer::AttachStream(int in_fd, int out_fd, std::string name) {
+  if (stream_id_ != 0) {
+    return Status::FailedPrecondition(
+        "net_server: a stream is already attached");
+  }
+  DSPOT_RETURN_IF_ERROR(OpenWakePipe());
+  Conn& conn = AddConn(std::move(name));
+  conn.in_fd = in_fd;
+  conn.out_fd = out_fd;
+  stream_id_ = conn.id;
+  return Status::Ok();
+}
+
+NetServer::Conn& NetServer::AddConn(std::string label) {
+  const uint64_t id = next_conn_id_++;
+  Conn& conn = conns_.try_emplace(id, std::move(label)).first->second;
+  conn.id = id;
+  return conn;
 }
 
 void NetServer::Wake() {
@@ -130,104 +144,108 @@ NetServerStats NetServer::stats() const {
 }
 
 Status NetServer::Run() {
-  if (epoll_fd_ < 0) {
-    return Status::FailedPrecondition("net_server: Run before Start");
+  if (wake_fds_[0] < 0) {
+    return Status::FailedPrecondition(
+        "net_server: Run before Start or AttachStream");
   }
+  // What each pollfd entry stands for: the wake pipe, the listener, or one
+  // direction of a connection (a socket may appear twice, once per
+  // direction).
+  enum class Slot { kWake, kListener, kRead, kWrite };
+  std::vector<pollfd> fds;
+  std::vector<std::pair<Slot, uint64_t>> slots;
+  auto watch = [&](int fd, short events, Slot slot, uint64_t id) {
+    fds.push_back(pollfd{fd, events, 0});
+    slots.emplace_back(slot, id);
+  };
   std::chrono::steady_clock::time_point drain_start;
-  epoll_event events[64];
   for (;;) {
+    if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
+      drain_start = std::chrono::steady_clock::now();
+      BeginDrain();
+    }
+    if (listen_fd_ < 0 && conns_.empty()) {
+      return stream_status_;
+    }
+    if (draining_ && std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - drain_start)
+                             .count() > kDrainTimeoutMs) {
+      while (!conns_.empty()) {
+        Conn& conn = conns_.begin()->second;
+        Teardown(conn,
+                 Status::DeadlineExceeded(conn.label +
+                                          ": drain timeout; force-closed"),
+                 false);
+      }
+      return stream_status_;
+    }
+    // The set is rebuilt from connection state every turn, so pausing or
+    // resuming a direction needs no bookkeeping beyond that state.
+    fds.clear();
+    slots.clear();
+    watch(wake_fds_[0], POLLIN, Slot::kWake, 0);
+    if (listen_fd_ >= 0) watch(listen_fd_, POLLIN, Slot::kListener, 0);
+    for (const auto& [id, conn] : conns_) {
+      if (WantsRead(conn)) watch(conn.in_fd, POLLIN, Slot::kRead, id);
+      if (conn.unflushed() > 0) watch(conn.out_fd, POLLOUT, Slot::kWrite, id);
+    }
     // During a drain, poll with a timeout so the drain deadline fires
     // even if no fd ever becomes ready again.
-    const int timeout_ms = draining_ ? 50 : -1;
-    const int n = ::epoll_wait(epoll_fd_, events,
-                               static_cast<int>(std::size(events)),
-                               timeout_ms);
-    if (n < 0) {
+    if (::poll(fds.data(), fds.size(), draining_ ? 50 : -1) < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError("net_server: epoll_wait: " + ErrnoText());
+      return Status::IoError("net_server: poll: " + ErrnoText());
     }
-    for (int i = 0; i < n; ++i) {
-      const uint64_t token = events[i].data.u64;
-      if (token == kWakeToken) {
+    for (size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      const auto [slot, id] = slots[i];
+      if (slot == Slot::kWake) {
         uint8_t sink[256];
         while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
         }
+        // The wake entry comes first. A shutdown wins over the other
+        // events of this turn: they stay ready, and the next turn begins
+        // the drain before handling any of them.
+        if (shutdown_requested_.load(std::memory_order_acquire) &&
+            !draining_) {
+          break;
+        }
         continue;
       }
-      if (token == kListenerToken) {
+      if (slot == Slot::kListener) {
         AcceptReady();
         continue;
       }
-      // A token that no longer resolves is an event queued for a
-      // connection torn down earlier in this same batch — skip it.
-      auto it = conns_.find(token);
+      // An entry whose connection was torn down earlier in this same turn
+      // no longer resolves — skip it.
+      auto it = conns_.find(id);
       if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      const uint32_t ev = events[i].events;
-      if (ev & EPOLLERR) {
-        Teardown(conn, Status::IoError("socket error (EPOLLERR)"), false);
-        continue;
-      }
-      if (ev & EPOLLHUP) {
-        // Peer closed both directions: nothing we buffer can ever be
-        // delivered.
-        Teardown(conn, Status::Ok(), false);
-        continue;
-      }
-      if (ev & EPOLLOUT) {
-        if (!FlushWrites(conn)) continue;
-        if (MaybeRetire(conn)) continue;
-      }
-      if (ev & EPOLLIN) {
-        HandleReadable(conn);
+      // POLLHUP and POLLERR take the same path as readiness: the read or
+      // write that follows reports end of input or the error itself.
+      if (slot == Slot::kWrite) {
+        if (FlushWrites(it->second)) MaybeRetire(it->second);
+      } else {
+        HandleReadable(it->second);
       }
     }
     ProcessCompletions();
-    if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      drain_start = std::chrono::steady_clock::now();
-      if (listen_fd_ >= 0) {
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-      // Stop reading every connection; in-flight replies still complete
-      // and flush before the connection retires.
-      std::vector<uint64_t> ids;
-      ids.reserve(conns_.size());
-      for (const auto& [id, conn] : conns_) ids.push_back(id);
-      for (uint64_t id : ids) {
-        auto it = conns_.find(id);
-        if (it == conns_.end()) continue;
-        Conn& conn = it->second;
-        conn.read_closed = true;
-        UpdateInterest(conn);
-        if (!FlushWrites(conn)) continue;
-        MaybeRetire(conn);
-      }
-    }
-    if (draining_) {
-      if (conns_.empty()) {
-        return Status::Ok();
-      }
-      const double waited_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - drain_start)
-              .count();
-      if (waited_ms > options_.drain_timeout_ms) {
-        std::vector<uint64_t> ids;
-        ids.reserve(conns_.size());
-        for (const auto& [id, conn] : conns_) ids.push_back(id);
-        for (uint64_t id : ids) {
-          auto it = conns_.find(id);
-          if (it == conns_.end()) continue;
-          Teardown(it->second,
-                   Status::DeadlineExceeded("drain timeout; force-closed"),
-                   false);
-        }
-        return Status::Ok();
-      }
-    }
+  }
+}
+
+void NetServer::BeginDrain() {
+  draining_ = true;
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
+  // Stop reading every connection; in-flight replies still complete and
+  // flush before the connection retires.
+  std::vector<uint64_t> ids;
+  ids.reserve(conns_.size());
+  for (const auto& [id, conn] : conns_) ids.push_back(id);
+  for (uint64_t id : ids) {
+    Conn& conn = conns_.at(id);
+    conn.read_closed = true;
+    MaybeRetire(conn);
   }
 }
 
@@ -244,7 +262,7 @@ void NetServer::AcceptReady() {
       std::fprintf(stderr, "dspot_serve: accept: %s\n", ErrnoText().c_str());
       break;
     }
-    if (draining_ || conns_.size() >= options_.max_conns) {
+    if (conns_.size() >= options_.max_conns) {
       // Accept-then-close: the client sees an immediate EOF instead of a
       // connection that hangs in the backlog.
       ::close(fd);
@@ -254,81 +272,84 @@ void NetServer::AcceptReady() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const uint64_t id = next_conn_id_++;
-    auto [it, inserted] = conns_.emplace(
-        std::piecewise_construct, std::forward_as_tuple(id),
-        std::forward_as_tuple(PeerLabel(peer)));
-    Conn& conn = it->second;
-    conn.fd = fd;
-    conn.id = id;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      std::fprintf(stderr, "dspot_serve: %s: epoll_ctl(add): %s\n",
-                   conn.peer.c_str(), ErrnoText().c_str());
-      ::close(fd);
-      conns_.erase(it);
-      continue;
-    }
+    Conn& conn = AddConn("conn " + PeerLabel(peer));
+    conn.in_fd = fd;
+    conn.out_fd = fd;
+    conn.is_socket = true;
     DSPOT_COUNT("serve.net.accepted", 1);
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.accepted;
   }
 }
 
+bool NetServer::WantsRead(const Conn& conn) const {
+  return !conn.read_closed && !conn.paused_read &&
+         conn.in_flight < max_in_flight_;
+}
+
 void NetServer::HandleReadable(Conn& conn) {
+  // One read per readiness event: the stream's fds may be blocking (the
+  // server never changes flags on an fd it did not open), and poll only
+  // promises that one read will not block.
   uint8_t buf[65536];
-  for (;;) {
-    if (conn.paused_read || conn.read_closed) return;
-    const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      Teardown(conn, Status::IoError("read: " + ErrnoText()), false);
+  const ssize_t n = ::read(conn.in_fd, buf, sizeof(buf));
+  if (n < 0) {
+    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
+    Teardown(conn, Status::IoError(conn.label + ": read: " + ErrnoText()),
+             false);
+    return;
+  }
+  if (n == 0) {
+    // End of input: a TCP client's shutdown(SHUT_WR) or the stream's EOF.
+    // The window never holds back a complete frame when a read happens,
+    // so buffered bytes here are a frame cut short — a protocol error
+    // like any other, not a quiet end.
+    if (conn.assembler.buffered() != 0) {
+      Teardown(conn,
+               Status::DataLoss(
+                   conn.label + ": byte " +
+                   std::to_string(conn.assembler.stream_offset()) + ": " +
+                   std::to_string(conn.assembler.buffered()) +
+                   " trailing bytes form an incomplete frame"),
+               true);
       return;
     }
-    if (n == 0) {
-      // Half-close: the client finished sending (shutdown(SHUT_WR)) and
-      // is now reading replies. Stop watching EPOLLIN; retire once every
-      // in-flight reply has flushed.
-      conn.read_closed = true;
-      UpdateInterest(conn);
-      MaybeRetire(conn);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.bytes_in += static_cast<uint64_t>(n);
-    }
-    conn.assembler.Append(buf, static_cast<size_t>(n));
-    std::vector<uint8_t> payload;
-    for (;;) {
-      StatusOr<bool> have = conn.assembler.Next(&payload);
-      if (!have.ok()) {
-        Teardown(conn, have.status(), true);
-        return;
-      }
-      if (!*have) break;
-      if (!HandleFrame(conn, payload)) return;
-    }
-    if (conn.unflushed() > options_.max_write_buffer_bytes &&
-        !conn.paused_read) {
-      // Backpressure: this client is not draining its replies, so stop
-      // feeding its requests into the engine. EPOLLOUT stays armed; the
-      // read side resumes once the buffer halves.
-      conn.paused_read = true;
-      UpdateInterest(conn);
-      DSPOT_COUNT("serve.net.backpressure_pauses", 1);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.backpressure_pauses;
-      return;
-    }
+    conn.read_closed = true;
+    MaybeRetire(conn);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.bytes_in += static_cast<uint64_t>(n);
+  }
+  conn.assembler.Append(buf, static_cast<size_t>(n));
+  if (!DispatchFrames(conn)) return;
+  if (conn.unflushed() > kMaxWriteBufferBytes) {
+    // Backpressure: this client is not draining its replies, so stop
+    // feeding its requests into the engine until the buffer halves.
+    conn.paused_read = true;
+    DSPOT_COUNT("serve.net.backpressure_pauses", 1);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.backpressure_pauses;
   }
 }
 
+bool NetServer::DispatchFrames(Conn& conn) {
+  std::vector<uint8_t> payload;
+  while (!conn.read_closed && conn.in_flight < max_in_flight_) {
+    StatusOr<bool> have = conn.assembler.Next(&payload);
+    if (!have.ok()) {
+      Teardown(conn, have.status(), true);
+      return false;
+    }
+    if (!*have) break;
+    if (!HandleFrame(conn, payload)) return false;
+  }
+  return true;
+}
+
 bool NetServer::HandleFrame(Conn& conn, const std::vector<uint8_t>& payload) {
-  const std::string context = "conn " + conn.peer;
+  const std::string& context = conn.label;
   StatusOr<uint32_t> tag =
       PeekPayloadTag(payload.data(), payload.size(), context);
   if (!tag.ok()) {
@@ -412,9 +433,8 @@ void NetServer::ProcessCompletions() {
 }
 
 bool NetServer::PumpReplies(Conn& conn) {
-  // Replies go on the wire in REQUEST order per connection, regardless of
-  // the order worker batches completed them — the wire contract matches
-  // the stdin/stdout pipe exactly.
+  // Replies go out in REQUEST order per connection, regardless of the
+  // order worker batches completed them.
   uint64_t queued = 0;
   while (!conn.ready.empty() &&
          conn.ready.begin()->first == conn.next_write_seq) {
@@ -428,7 +448,7 @@ bool NetServer::PumpReplies(Conn& conn) {
       // reader could accept must never be emitted.
       Teardown(conn,
                Status::InvalidArgument(
-                   "conn " + conn.peer + ": reply payload " +
+                   conn.label + ": reply payload " +
                    std::to_string(payload.size()) + " bytes exceeds cap"),
                false);
       return false;
@@ -446,20 +466,26 @@ bool NetServer::PumpReplies(Conn& conn) {
     stats_.replies += queued;
   }
   if (!FlushWrites(conn)) return false;
+  // Replies left the in-flight window: submit the frames it held back.
+  if (!DispatchFrames(conn)) return false;
   return !MaybeRetire(conn);
 }
 
 bool NetServer::FlushWrites(Conn& conn) {
   while (conn.wpos < conn.wbuf.size()) {
-    // send(MSG_NOSIGNAL), not write(): a peer that closed mid-reply must
+    const uint8_t* data = conn.wbuf.data() + conn.wpos;
+    const size_t size = conn.wbuf.size() - conn.wpos;
+    // send(MSG_NOSIGNAL) on a socket: a peer that closed mid-reply must
     // surface as EPIPE on this connection, not SIGPIPE for the process.
-    const ssize_t n =
-        ::send(conn.fd, conn.wbuf.data() + conn.wpos,
-               conn.wbuf.size() - conn.wpos, MSG_NOSIGNAL);
+    // The stream's fd may be a pipe, file or tty, where send() fails.
+    const ssize_t n = conn.is_socket
+                          ? ::send(conn.out_fd, data, size, MSG_NOSIGNAL)
+                          : ::write(conn.out_fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      Teardown(conn, Status::IoError("write: " + ErrnoText()), false);
+      Teardown(conn, Status::IoError(conn.label + ": write: " + ErrnoText()),
+               false);
       return false;
     }
     conn.wpos += static_cast<size_t>(n);
@@ -474,30 +500,10 @@ bool NetServer::FlushWrites(Conn& conn) {
                     conn.wbuf.begin() + static_cast<ptrdiff_t>(conn.wpos));
     conn.wpos = 0;
   }
-  const bool need_out = conn.unflushed() > 0;
-  bool interest_changed = false;
-  if (need_out != conn.want_write) {
-    conn.want_write = need_out;
-    interest_changed = true;
-  }
-  if (conn.paused_read && !conn.read_closed &&
-      conn.unflushed() < options_.max_write_buffer_bytes / 2) {
+  if (conn.paused_read && conn.unflushed() < kMaxWriteBufferBytes / 2) {
     conn.paused_read = false;
-    interest_changed = true;
-  }
-  if (interest_changed) {
-    UpdateInterest(conn);
   }
   return true;
-}
-
-void NetServer::UpdateInterest(Conn& conn) {
-  epoll_event ev{};
-  ev.events = 0;
-  if (!conn.read_closed && !conn.paused_read) ev.events |= EPOLLIN;
-  if (conn.want_write) ev.events |= EPOLLOUT;
-  ev.data.u64 = conn.id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
 bool NetServer::MaybeRetire(Conn& conn) {
@@ -510,18 +516,22 @@ bool NetServer::MaybeRetire(Conn& conn) {
 }
 
 void NetServer::Teardown(Conn& conn, const Status& why, bool protocol_error) {
-  if (protocol_error) {
+  if (conn.id == stream_id_) {
+    // The stream is the caller's own input: Run() returns how it ended
+    // and the caller reports it.
+    stream_status_ = why;
+  } else if (protocol_error) {
     // One hostile or desynchronized client costs exactly one connection;
     // the located error names the peer and the byte that broke.
-    std::fprintf(stderr, "dspot_serve: %s: connection closed: %s\n",
-                 conn.peer.c_str(), why.ToString().c_str());
-    DSPOT_COUNT("serve.net.desync_teardowns", 1);
+    std::fprintf(stderr, "dspot_serve: connection closed: %s\n",
+                 why.ToString().c_str());
   } else if (!why.ok()) {
-    std::fprintf(stderr, "dspot_serve: %s: connection dropped: %s\n",
-                 conn.peer.c_str(), why.ToString().c_str());
+    std::fprintf(stderr, "dspot_serve: connection dropped: %s\n",
+                 why.ToString().c_str());
   }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-  ::close(conn.fd);
+  if (protocol_error) DSPOT_COUNT("serve.net.desync_teardowns", 1);
+  // The stream's fds belong to the caller (fd 0 may be its terminal).
+  if (conn.is_socket) ::close(conn.in_fd);
   const uint64_t id = conn.id;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -538,40 +548,29 @@ void NetServer::Teardown(Conn& conn, const Status& why, bool protocol_error) {
 
 namespace dspot {
 
-// epoll is Linux-only; other platforms keep the stdin/stdout transport.
+// The transport is Linux-only (accept4, pipe2); elsewhere both serve
+// modes report Unimplemented.
 
 NetServer::NetServer(ServeEngine* engine, const NetServerOptions& options)
-    : engine_(engine), options_(options) {}
+    : engine_(engine), options_(options), max_in_flight_(0) {}
 
 NetServer::~NetServer() = default;
 
 Status NetServer::Start() {
-  return Status::Unimplemented(
-      "net_server: the TCP transport requires Linux epoll");
+  return Status::Unimplemented("net_server: the transport requires Linux");
+}
+
+Status NetServer::AttachStream(int, int, std::string) {
+  return Status::Unimplemented("net_server: the transport requires Linux");
 }
 
 Status NetServer::Run() {
-  return Status::Unimplemented(
-      "net_server: the TCP transport requires Linux epoll");
+  return Status::Unimplemented("net_server: the transport requires Linux");
 }
 
 void NetServer::Shutdown() {}
 
-void NetServer::Wake() {}
-
 NetServerStats NetServer::stats() const { return NetServerStats{}; }
-
-void NetServer::AcceptReady() {}
-void NetServer::HandleReadable(Conn&) {}
-bool NetServer::HandleFrame(Conn&, const std::vector<uint8_t>&) {
-  return false;
-}
-void NetServer::ProcessCompletions() {}
-bool NetServer::PumpReplies(Conn&) { return false; }
-bool NetServer::FlushWrites(Conn&) { return false; }
-void NetServer::UpdateInterest(Conn&) {}
-bool NetServer::MaybeRetire(Conn&) { return false; }
-void NetServer::Teardown(Conn&, const Status&, bool) {}
 
 }  // namespace dspot
 

@@ -15,31 +15,40 @@
 
 namespace dspot {
 
-/// dspot_serve's TCP transport: a single-threaded, level-triggered epoll
-/// event loop speaking the DSRQ/DSRP frame codec over non-blocking
-/// sockets, in front of a ServeEngine.
+/// dspot_serve's request pump: a single-threaded poll(2) event loop
+/// speaking the DSRQ/DSRP frame codec in front of a ServeEngine. Its
+/// connections are TCP sockets (Start() binds the listener) and at most
+/// one byte stream given as a read fd and a write fd (AttachStream(): the
+/// CLI's stdin/stdout). Every connection runs the same code:
 ///
 /// - Frames arrive split at arbitrary byte boundaries; each connection
-///   owns a FrameAssembler that reassembles them incrementally.
+///   owns a FrameAssembler that reassembles them incrementally. A
+///   connection is read once per readiness event, so an fd the server
+///   did not open is never switched to O_NONBLOCK.
 /// - An optional first frame ("DSRH" tenant handshake) binds the
 ///   connection to an admission tenant; every request submitted on it
 ///   then competes only inside that tenant's quota slice.
+/// - At most max(engine queue_cap, 256) of a connection's requests are
+///   in flight: past that the server neither submits the frames it has
+///   buffered nor reads more until replies go out. A single connection
+///   therefore never overflows the admission queue on its own.
 /// - Replies return to the event loop through ServeEngine callbacks and
 ///   a wake pipe, are re-ordered back into per-connection request order,
-///   and are written with backpressure: a reply that does not flush in
-///   one write() arms EPOLLOUT, and a connection whose unflushed bytes
-///   exceed max_write_buffer_bytes stops being read until it drains.
+///   and are written with backpressure: a connection whose unflushed
+///   bytes exceed 4 MiB stops being read until it drains below half.
 /// - A protocol violation (bad tag, undecodable payload, over-cap frame
-///   length) tears down THAT connection with a located error on stderr;
-///   the process and every other connection keep serving.
+///   length, end of input inside a frame) tears down THAT connection with
+///   a located error; the process and every other connection keep
+///   serving. For the stream connection, Run() returns the error.
 /// - Shutdown() is async-signal-safe: it closes the listener, lets
-///   in-flight replies complete and flush, then returns from Run().
+///   in-flight replies complete and flush (force-closing connections
+///   still open 5 s later), then returns from Run().
 ///
 /// DETERMINISM: one connection's requests are submitted in frame arrival
-/// order and its replies are written in the same order, so a single
-/// connection that never overflows the admission queue receives replies
-/// byte-identical to the stdin/stdout pipe serving the same stream — at
-/// any worker thread count (serve_net_smoke holds the CLI to this).
+/// order and its replies are written in the same order, so a connection
+/// alone on the engine receives the same reply bytes over TCP as over the
+/// stream — at any worker thread count (serve_net_smoke holds the CLI to
+/// this).
 
 struct NetServerOptions {
   /// Listen address; the default binds loopback only — serving a public
@@ -51,14 +60,6 @@ struct NetServerOptions {
   /// Accepted-connection cap; arrivals beyond it are accepted and
   /// immediately closed so the client sees EOF, not a hung SYN.
   size_t max_conns = 256;
-  /// Per-connection unflushed reply bytes above which the server stops
-  /// READING that connection (admission backpressure) until the client
-  /// drains below half of this; EPOLLOUT stays armed throughout.
-  size_t max_write_buffer_bytes = 4u << 20;
-  /// How long Shutdown() lets connections finish flushing before they
-  /// are force-closed (a drain must not hang on a client that stopped
-  /// reading).
-  double drain_timeout_ms = 5000.0;
 };
 
 /// Transport-level counters (engine-level counts live in ServeStats).
@@ -77,30 +78,39 @@ struct NetServerStats {
 
 class NetServer {
  public:
-  /// `engine` must outlive the server. Construction is cheap; the socket
-  /// work happens in Start().
+  /// `engine` must outlive the server. Construction is cheap; the fd
+  /// work happens in Start() and AttachStream().
   NetServer(ServeEngine* engine, const NetServerOptions& options);
 
-  /// Closes every fd still open (Run() must have returned, or never run).
-  /// LIFETIME: reply callbacks registered with the engine reference this
-  /// server, so call engine->Stop() (which drains them) between Run()
-  /// returning and destroying the server.
+  /// Closes every fd the server opened (Run() must have returned, or
+  /// never run); the stream's fds stay open. LIFETIME: reply callbacks
+  /// registered with the engine reference this server, so call
+  /// engine->Stop() (which drains them) between Run() returning and
+  /// destroying the server.
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Creates, binds, and listens the server socket and the epoll/wake
-  /// machinery. After Ok, port() is the bound port.
+  /// Creates, binds, and listens the server socket. After Ok, port() is
+  /// the bound port.
   Status Start();
+
+  /// Serves the frame stream read from `in_fd` as one more connection,
+  /// writing its replies to `out_fd` with write(2). The server never
+  /// changes the flags of either fd and never closes them. `name` labels
+  /// the stream's errors ("stdin: byte N: ..."). One stream per server.
+  Status AttachStream(int in_fd, int out_fd, std::string name);
 
   /// The bound listen port (valid after Start()).
   uint16_t port() const { return port_; }
 
-  /// Runs the event loop on the calling thread until Shutdown() — accept,
-  /// read, submit, reorder, flush. Returns Ok after the drain completes;
-  /// a fatal transport error (epoll itself failing) is returned, but
-  /// per-connection errors never are.
+  /// Runs the event loop on the calling thread — accept, read, submit,
+  /// reorder, flush — until there is no listener (never started, or
+  /// closed by Shutdown()) and every connection has retired. Returns how
+  /// the stream connection ended: Ok on a clean end of input or a drain,
+  /// its located error otherwise. A fatal transport error (poll itself
+  /// failing) is returned too; TCP connection errors never are.
   Status Run();
 
   /// Requests a graceful drain: async-signal-safe (a flag store and a
@@ -111,24 +121,25 @@ class NetServer {
 
  private:
   struct Conn {
-    int fd = -1;
+    int in_fd = -1;
+    int out_fd = -1;
+    bool is_socket = false;  ///< TCP: in_fd == out_fd, owned, send()
     uint64_t id = 0;
-    std::string peer;  ///< "addr:port", the error-location context
+    std::string label;  ///< "conn addr:port" or the stream's name
     FrameAssembler assembler;
     std::string tenant;        ///< bound by the handshake; "" = default
     bool saw_first_frame = false;
-    bool read_closed = false;  ///< client half-closed (or we are draining)
-    bool paused_read = false;  ///< backpressure: not watching EPOLLIN
+    bool read_closed = false;  ///< end of input (or we are draining)
+    bool paused_read = false;  ///< backpressure: unflushed bytes too many
     uint64_t next_submit_seq = 0;
     uint64_t next_write_seq = 0;
     uint64_t in_flight = 0;    ///< submitted, reply not yet queued to wire
     std::map<uint64_t, ServeReply> ready;  ///< out-of-order replies
     std::vector<uint8_t> wbuf;
     size_t wpos = 0;
-    bool want_write = false;   ///< EPOLLOUT armed
 
-    explicit Conn(std::string peer_label)
-        : peer(std::move(peer_label)), assembler("conn " + peer) {}
+    explicit Conn(std::string label_text)
+        : label(std::move(label_text)), assembler(label) {}
     size_t unflushed() const { return wbuf.size() - wpos; }
   };
 
@@ -138,16 +149,22 @@ class NetServer {
     ServeReply reply;
   };
 
+  Status OpenWakePipe();
+  Conn& AddConn(std::string label);
+  void BeginDrain();
   void AcceptReady();
+  /// True while the loop should poll the connection's input.
+  bool WantsRead(const Conn& conn) const;
   void HandleReadable(Conn& conn);
-  /// Decodes and dispatches one frame; false = the connection was torn
-  /// down and must not be touched again.
+  /// Submits buffered frames while the in-flight window has room; false =
+  /// the connection was torn down and must not be touched again.
+  bool DispatchFrames(Conn& conn);
+  /// Decodes and dispatches one frame; false = torn down, as above.
   bool HandleFrame(Conn& conn, const std::vector<uint8_t>& payload);
   void ProcessCompletions();
   /// Encodes ready in-order replies onto the write buffer and flushes.
   bool PumpReplies(Conn& conn);
   bool FlushWrites(Conn& conn);
-  void UpdateInterest(Conn& conn);
   void Teardown(Conn& conn, const Status& why, bool protocol_error);
   /// Closes the connection if nothing remains to read, execute, or flush.
   bool MaybeRetire(Conn& conn);
@@ -155,16 +172,19 @@ class NetServer {
 
   ServeEngine* engine_;
   NetServerOptions options_;
+  /// Per-connection in-flight request cap: max(engine queue_cap, 256).
+  uint64_t max_in_flight_;
   uint16_t port_ = 0;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};
   std::atomic<bool> shutdown_requested_{false};
   bool draining_ = false;
 
   uint64_t next_conn_id_ = 1;
   std::unordered_map<uint64_t, Conn> conns_;  ///< id -> connection
+  uint64_t stream_id_ = 0;                    ///< 0 = no stream attached
+  Status stream_status_ = Status::Ok();       ///< how the stream ended
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;

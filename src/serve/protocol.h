@@ -32,10 +32,10 @@ namespace dspot {
 /// directly.
 
 /// Frame tags ("DSRQ" / "DSRP" / "DSRH" as little-endian u32). "DSRH" is
-/// the optional tenant handshake a TCP client may send as its FIRST
-/// frame: `"DSRH" version:u32 tenant:str`. It binds every later request
-/// on that connection to the named admission tenant; without it the
-/// connection serves under the default tenant "".
+/// the optional tenant handshake a client may send as the FIRST frame of
+/// a connection (TCP or stdin): `"DSRH" version:u32 tenant:str`. It binds
+/// every later request on that connection to the named admission tenant;
+/// without it the connection serves under the default tenant "".
 inline constexpr uint32_t kServeRequestTag = 0x51525344;
 inline constexpr uint32_t kServeReplyTag = 0x50525344;
 inline constexpr uint32_t kServeHelloTag = 0x48525344;

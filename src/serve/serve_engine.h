@@ -60,7 +60,7 @@ struct ServeRequest {
   ServeOp op = ServeOp::kForecast;
   std::string keyword;
   /// Admission-quota bucket. NOT part of the wire request: the transport
-  /// assigns it per connection (TCP tenant handshake; "" everywhere else,
+  /// assigns it per connection (the tenant handshake; "" without one,
   /// the default tenant). Replies never depend on it — it only decides
   /// which queue slice the request occupies and who gets shed first.
   std::string tenant;
@@ -165,6 +165,9 @@ class ServeEngine {
   void Stop();
 
   ServeStats stats() const;
+
+  /// The admission queue bound (ServeOptions::queue_cap, at least 1).
+  size_t queue_cap() const { return options_.queue_cap; }
 
   /// Per-tenant admission counters, keyed by tenant name ("" = default).
   std::map<std::string, TenantCounters> tenant_stats() const;

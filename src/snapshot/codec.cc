@@ -83,7 +83,10 @@ StatusOr<double> ByteReader::GetDouble() {
 }
 
 StatusOr<std::string> ByteReader::GetString() {
-  DSPOT_ASSIGN_OR_RETURN(uint64_t len, GetCount(remaining(), "string length"));
+  // The bytes must fit in what is left after the 8-byte length itself.
+  DSPOT_ASSIGN_OR_RETURN(
+      uint64_t len,
+      GetCount(remaining() > 8 ? remaining() - 8 : 0, "string length"));
   std::string s(reinterpret_cast<const char*>(data_ + offset_),
                 static_cast<size_t>(len));
   offset_ += static_cast<size_t>(len);

@@ -1,7 +1,6 @@
 #include "snapshot/update.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -15,30 +14,9 @@
 #include "obs/metrics.h"
 #include "parallel/parallel_for.h"
 #include "timeseries/metrics.h"
+#include "timeseries/peaks.h"
 
 namespace dspot {
-
-namespace {
-
-// RMS residual of the old model over the already-explained range — the
-// noise floor the appended window is judged against. Missing ticks are
-// skipped; a floor keeps a perfectly fit prefix from flagging every
-// appended tick.
-double OldWindowSigma(std::span<const double> actual,
-                      std::span<const double> estimate, size_t old_n) {
-  double sum_sq = 0.0;
-  size_t count = 0;
-  for (size_t t = 0; t < old_n; ++t) {
-    if (IsMissing(actual[t])) continue;
-    const double r = actual[t] - estimate[t];
-    sum_sq += r * r;
-    ++count;
-  }
-  if (count == 0) return 0.0;
-  return std::sqrt(sum_sq / static_cast<double>(count));
-}
-
-}  // namespace
 
 StatusOr<ActivityTensor> ConcatTicks(const ActivityTensor& base,
                                      const ActivityTensor& extra,
@@ -167,24 +145,12 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
     std::span<double> actual(actual_storage.data() + i * new_n, new_n);
     tensor.GlobalSequenceInto(i, actual);
     const Series extrapolated = SimulateGlobal(old, i, new_n);
-    const double sigma =
-        OldWindowSigma(actual, extrapolated.values(), old_n);
-    // A degenerate noise floor (empty or perfectly fit prefix) cannot
-    // calibrate a z-score; fall back to full re-detection.
-    if (sigma <= 0.0) {
-      burst_verdict[i] = 1;
-      return;
-    }
-    size_t bursting = 0;
-    for (size_t t = old_n; t < new_n; ++t) {
-      if (IsMissing(actual[t])) continue;
-      if (std::fabs(actual[t] - extrapolated[t]) >
-          options.burst_threshold * sigma) {
-        ++bursting;
-      }
-    }
     burst_verdict[i] =
-        bursting >= std::max<size_t>(options.min_burst_ticks, 1) ? 1 : 0;
+        HasResidualBurst(actual, extrapolated.values(), old_n,
+                         options.burst_threshold,
+                         std::max<size_t>(options.min_burst_ticks, 1))
+            ? 1
+            : 0;
   });
   for (size_t i = 0; i < d; ++i) {
     update.redetected[i] = burst_verdict[i] != 0;

@@ -8,6 +8,7 @@
 #include "core/simulate.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_for.h"
+#include "timeseries/peaks.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -268,38 +269,19 @@ StreamEngine::Action StreamEngine::Triage(KeywordState* ks) const {
   const size_t new_ticks = window_end - fit_end;
   const size_t burst_quorum = std::max<size_t>(options_.min_burst_ticks, 1);
   if (new_ticks >= burst_quorum) {
-    // UpdateFit's residual-burst test, windowed: extrapolate the current
-    // model over the appended ticks and compare against the RMS residual
-    // of the still-retained explained range.
+    // UpdateFit's residual-burst test over the retained window: extrapolate
+    // the current model over the appended ticks and judge them against the
+    // still-retained explained range.
     ModelParamSet set;
     BuildSingleKeywordSet(ks->params, ks->shocks, window_end, &set);
     std::vector<double> estimate(window_end);
     SimulateGlobalInto(set, 0, &ks->cache, estimate);
-    double sum_sq = 0.0;
-    size_t explained = 0;
-    for (size_t t = shift; t < fit_end; ++t) {
-      const double actual = ks->ring[(ks->head + (t - shift)) % ks->ring.size()];
-      const double r = actual - estimate[t];
-      sum_sq += r * r;
-      ++explained;
-    }
-    const double sigma =
-        explained == 0
-            ? 0.0
-            : std::sqrt(sum_sq / static_cast<double>(explained));
-    if (sigma <= 0.0) {
-      // A degenerate noise floor cannot calibrate the z-score (same
-      // fallback as UpdateFit): re-detect.
-      return Action::kEscalate;
-    }
-    size_t bursting = 0;
-    for (size_t t = fit_end; t < window_end; ++t) {
-      const double actual = ks->ring[(ks->head + (t - shift)) % ks->ring.size()];
-      if (std::fabs(actual - estimate[t]) > options_.burst_threshold * sigma) {
-        ++bursting;
-      }
-    }
-    if (bursting >= burst_quorum) {
+    std::vector<double> window;
+    CopyWindow(*ks, &window);
+    const std::span<const double> window_estimate =
+        std::span<const double>(estimate).subspan(shift);
+    if (HasResidualBurst(window, window_estimate, fit_end - shift,
+                         options_.burst_threshold, burst_quorum)) {
       return Action::kEscalate;
     }
   }

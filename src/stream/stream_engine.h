@@ -17,6 +17,7 @@
 #include "core/global_fit.h"
 #include "core/params.h"
 #include "core/schedule_cache.h"
+#include "durable/durable_file.h"
 #include "guard/guard.h"
 
 namespace dspot {
@@ -206,12 +207,17 @@ class StreamEngine {
   /// at any thread count — the determinism oracle used by the tests.
   std::vector<uint8_t> EncodeState() const;
 
-  /// Writes the engine state ("DSPOTSTM" magic, version, CRC-32) so a
-  /// restarted process can resume ingestion without refitting.
-  Status SaveState(const std::string& path) const;
+  /// Writes the engine state file so a restarted process can resume
+  /// ingestion without refitting: "DSPOTCKP" magic, version, `seq`, then
+  /// the EncodeState payload with its length and CRC-32, replaced
+  /// atomically. It is also dspot_durable's checkpoint file, where `seq`
+  /// is the last WAL record the state covers; a plain save writes 0.
+  Status SaveState(const std::string& path, uint64_t seq = 0,
+                   const RetryPolicy& retry = RetryPolicy()) const;
 
-  /// Restores an engine from SaveState output. The usual snapshot error
-  /// contract: bad magic/version -> InvalidArgument, truncation or
+  /// Restores an engine from a SaveState file (a checkpoint included) and
+  /// stores its sequence number in `*seq` when given. The usual snapshot
+  /// error contract: bad magic/version -> InvalidArgument, truncation or
   /// checksum mismatch -> DataLoss with "<path>: offset" context.
   ///
   /// Semantic options (tick bucketing, ring capacity, triage thresholds)
@@ -221,12 +227,12 @@ class StreamEngine {
   /// refits bit-identical to the original engine's must pass the same fit
   /// options the original used.
   static StatusOr<std::unique_ptr<StreamEngine>> LoadState(
-      const std::string& path, const StreamOptions& runtime = StreamOptions());
+      const std::string& path, const StreamOptions& runtime = StreamOptions(),
+      uint64_t* seq = nullptr);
 
   /// Restores an engine from a raw EncodeState payload (no file header —
-  /// the caller owns framing and checksums; dspot_durable checkpoints do
-  /// both). Same options split as LoadState; `context` labels decode
-  /// errors the way a path does.
+  /// the caller owns framing and checksums). Same options split as
+  /// LoadState; `context` labels decode errors the way a path does.
   static StatusOr<std::unique_ptr<StreamEngine>> DecodeState(
       const uint8_t* data, size_t size, const StreamOptions& runtime,
       const std::string& context);

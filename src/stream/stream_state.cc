@@ -17,11 +17,13 @@ namespace dspot {
 
 namespace {
 
-// "DSPOTSTM": stream-engine state, sibling of the "DSPOTSNP" model
-// snapshot. Same framing: magic, format version, length-prefixed payload,
-// CRC-32 trailer.
-constexpr char kMagic[8] = {'D', 'S', 'P', 'O', 'T', 'S', 'T', 'M'};
-constexpr uint32_t kStreamStateVersion = 1;
+// "DSPOTCKP": the one stream-state file, written by SaveState and read by
+// LoadState for --save-state/--load-state and for dspot_durable's
+// checkpoints alike. Sibling of the "DSPOTSNP" model snapshot, with the
+// same framing plus a sequence number: magic, format version, sequence,
+// length-prefixed payload, CRC-32 trailer.
+constexpr char kMagic[8] = {'D', 'S', 'P', 'O', 'T', 'C', 'K', 'P'};
+constexpr uint32_t kStateFileVersion = 1;
 
 // Decode-time allocation guards (the checksum would catch the corruption,
 // but only after a bogus length prefix already drove a huge allocation).
@@ -285,24 +287,26 @@ std::vector<uint8_t> StreamEngine::EncodeState() const {
   return StreamStateCodec::Encode(*this);
 }
 
-Status StreamEngine::SaveState(const std::string& path) const {
+Status StreamEngine::SaveState(const std::string& path, uint64_t seq,
+                               const RetryPolicy& retry) const {
   DSPOT_SPAN("stream.save");
   const std::vector<uint8_t> payload = StreamStateCodec::Encode(*this);
   ByteWriter file;
   file.PutBytes(kMagic, sizeof(kMagic));
-  file.PutU32(kStreamStateVersion);
+  file.PutU32(kStateFileVersion);
+  file.PutU64(seq);
   file.PutChecksummed(payload);
   // Atomic replacement: a crashed or failed save leaves any previous
   // state file exactly as it was, never a truncated hybrid.
   DSPOT_RETURN_IF_ERROR(
-      AtomicWriteFile(path, file.bytes().data(), file.size()));
+      AtomicWriteFile(path, file.bytes().data(), file.size(), retry));
   DSPOT_COUNT("stream.saves", 1);
   DSPOT_OBSERVE("stream.save_bytes", static_cast<double>(payload.size()));
   return Status::Ok();
 }
 
 StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::LoadState(
-    const std::string& path, const StreamOptions& runtime) {
+    const std::string& path, const StreamOptions& runtime, uint64_t* seq) {
   DSPOT_SPAN("stream.load");
   std::ifstream is(path, std::ios::binary);
   if (!is) {
@@ -322,11 +326,15 @@ StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::LoadState(
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   ByteReader r(data + sizeof(kMagic), bytes.size() - sizeof(kMagic), path);
   DSPOT_ASSIGN_OR_RETURN(const uint32_t version, r.GetU32());
-  if (version != kStreamStateVersion) {
+  if (version != kStateFileVersion) {
     return Status::InvalidArgument(
         path + ": unsupported stream state version " +
         std::to_string(version) + " (this build reads version " +
-        std::to_string(kStreamStateVersion) + ")");
+        std::to_string(kStateFileVersion) + ")");
+  }
+  DSPOT_ASSIGN_OR_RETURN(const uint64_t stored_seq, r.GetU64());
+  if (seq != nullptr) {
+    *seq = stored_seq;
   }
   DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
                          r.GetChecksummed());

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/math_util.h"
+
 namespace dspot {
 
 std::vector<Burst> FindBursts(const Series& residual,
@@ -72,6 +74,32 @@ bool HasBurstNear(const std::vector<Burst>& bursts, size_t t,
     }
   }
   return false;
+}
+
+bool HasResidualBurst(std::span<const double> actual,
+                      std::span<const double> estimate, size_t explained,
+                      double threshold, size_t quorum) {
+  double sum_sq = 0.0;
+  size_t count = 0;
+  for (size_t t = 0; t < explained; ++t) {
+    if (IsMissing(actual[t])) continue;
+    const double r = actual[t] - estimate[t];
+    sum_sq += r * r;
+    ++count;
+  }
+  const double sigma =
+      count == 0 ? 0.0 : std::sqrt(sum_sq / static_cast<double>(count));
+  if (sigma <= 0.0) {
+    return true;
+  }
+  size_t bursting = 0;
+  for (size_t t = explained; t < actual.size(); ++t) {
+    if (IsMissing(actual[t])) continue;
+    if (std::fabs(actual[t] - estimate[t]) > threshold * sigma) {
+      ++bursting;
+    }
+  }
+  return bursting >= quorum;
 }
 
 }  // namespace dspot

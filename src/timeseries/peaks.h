@@ -2,6 +2,7 @@
 #define DSPOT_TIMESERIES_PEAKS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "timeseries/series.h"
@@ -44,6 +45,18 @@ std::vector<Burst> FindBursts(const Series& residual,
 /// True iff a burst near tick `t` (within `tolerance`) exists in `bursts`.
 bool HasBurstNear(const std::vector<Burst>& bursts, size_t t,
                   size_t tolerance);
+
+/// The residual-burst test behind UpdateFit and the stream engine's
+/// triage: does a model whose `estimate` explains the first `explained`
+/// ticks of `actual` still explain the ticks after them? sigma is the RMS
+/// residual over the explained range (missing ticks skipped); the test
+/// fires when at least `quorum` later ticks deviate by more than
+/// `threshold` * sigma, or when sigma <= 0 — a degenerate noise floor
+/// (nothing explained, or a perfect fit) cannot calibrate a z-score, so
+/// the caller re-detects. `estimate` must cover `actual`.
+bool HasResidualBurst(std::span<const double> actual,
+                      std::span<const double> estimate, size_t explained,
+                      double threshold, size_t quorum);
 
 }  // namespace dspot
 

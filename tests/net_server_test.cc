@@ -1,8 +1,9 @@
-// The TCP transport: frame reassembly at hostile byte boundaries, the
-// tenant handshake codec, and the epoll server end-to-end over loopback
-// sockets — split writes, desync teardown isolation, connection caps,
-// and graceful drain. The transport must never let one bad connection
-// take down the process or another client's stream.
+// The transport: frame reassembly at hostile byte boundaries, the tenant
+// handshake codec, and the server end-to-end over loopback sockets —
+// split writes, desync teardown isolation, connection caps, the in-flight
+// window and graceful drain — and over a pipe pair, the stream connection
+// dspot_serve gives stdin/stdout. The transport must never let one bad
+// connection take down the process or another client's stream.
 
 #include "serve/net_server.h"
 
@@ -24,6 +25,7 @@
 
 #ifdef __linux__
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -358,14 +360,15 @@ int ConnectTo(uint16_t port) {
   return fd;
 }
 
-/// Blocks for one frame payload; false on EOF/error/desync.
+/// Blocks for one frame payload; false on EOF/error/desync. read(), not
+/// recv(): the stream tests read replies from a pipe.
 bool RecvFrame(int fd, FrameAssembler* assembler,
                std::vector<uint8_t>* payload) {
   uint8_t chunk[4096];
   for (;;) {
     auto have = assembler->Next(payload);
     if (!have.ok() || *have) return have.ok();
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -572,6 +575,62 @@ TEST(NetServer, ConnectionCapAcceptsThenCloses) {
   EXPECT_EQ(harness.server.stats().rejected_at_capacity, 1u);
 }
 
+TEST(NetServer, HalfCloseMidFrameIsADesyncTeardown) {
+  // End of input inside a frame is a protocol error, not a quiet end: the
+  // connection is torn down at once and counted as a desync.
+  ServerHarness harness;
+  const int fd = ConnectTo(harness.server.port());
+  ASSERT_GE(fd, 0);
+  std::vector<uint8_t> wire = FrameBytes(EncodeRequestPayload(MakeRequest(1)));
+  const auto second = FrameBytes(EncodeRequestPayload(MakeRequest(2)));
+  wire.insert(wire.end(), second.begin(),
+              second.begin() + static_cast<ptrdiff_t>(second.size() / 2));
+  ASSERT_TRUE(SendAll(fd, wire.data(), wire.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+  EXPECT_TRUE(RecvEof(fd));
+  ::close(fd);
+
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (harness.server.stats().desync_teardowns == 1) break;
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(harness.server.stats().desync_teardowns, 1u);
+}
+
+TEST(NetServer, InFlightWindowKeepsOneConnectionFromShedding) {
+  // 2,000 pipelined requests against a 300-slot admission queue: the
+  // server holds at most max(queue_cap, 256) of a connection's requests in
+  // flight, so the queue never overflows and no reply is shed.
+  ServeOptions serve_options;
+  serve_options.queue_cap = 300;
+  ServerHarness harness(NetServerOptions{}, serve_options);
+  const int fd = ConnectTo(harness.server.port());
+  ASSERT_GE(fd, 0);
+  constexpr uint64_t kRequests = 2000;
+  std::vector<uint8_t> stream;
+  for (uint64_t id = 0; id < kRequests; ++id) {
+    const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(id)));
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  bool sent = false;
+  std::thread sender(
+      [&]() { sent = SendAll(fd, stream.data(), stream.size()); });
+  FrameAssembler assembler("client");
+  std::vector<uint8_t> payload;
+  for (uint64_t id = 0; id < kRequests; ++id) {
+    ASSERT_TRUE(RecvFrame(fd, &assembler, &payload)) << "reply " << id;
+    auto reply = DecodeReplyPayload(payload.data(), payload.size(), "client");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->id, id);
+    ASSERT_TRUE(reply->status.ok()) << "reply " << id << ": "
+                                    << reply->status.ToString();
+  }
+  sender.join();
+  EXPECT_TRUE(sent);
+  ::close(fd);
+  EXPECT_EQ(harness.engine.stats().admission_rejects, 0u);
+}
+
 TEST(NetServer, ShutdownDrainsInFlightRepliesBeforeClosing) {
   ServerHarness harness;
   const int fd = ConnectTo(harness.server.port());
@@ -609,6 +668,182 @@ TEST(NetServer, ShutdownDrainsInFlightRepliesBeforeClosing) {
   EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
   EXPECT_TRUE(RecvEof(fd));
   ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// The stream connection over a pipe pair (dspot_serve's stdin/stdout)
+
+bool WriteAll(int fd, const std::vector<uint8_t>& bytes) {
+  const uint8_t* data = bytes.data();
+  size_t n = bytes.size();
+  while (n > 0) {
+    const ssize_t w = ::write(fd, data, n);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += w;
+    n -= static_cast<size_t>(w);
+  }
+  return true;
+}
+
+/// Registry + engine + a server whose only connection is a stream over
+/// two pipes: the test writes request frames to `to_server` and reads
+/// replies from `from_server` while Run() loops on its own thread.
+struct StreamHarness {
+  StreamHarness()
+      : registry(RegistryOptions{}),
+        engine(&registry, ServeOptions{}),
+        server(&engine, NetServerOptions{}) {
+    for (int i = 0; i < 7; ++i) {
+      EXPECT_TRUE(registry.Put(MakeModel("kw" + std::to_string(i))).ok());
+    }
+    int requests[2] = {-1, -1};
+    int replies[2] = {-1, -1};
+    EXPECT_EQ(::pipe2(requests, O_CLOEXEC), 0);
+    EXPECT_EQ(::pipe2(replies, O_CLOEXEC), 0);
+    server_in = requests[0];
+    to_server = requests[1];
+    from_server = replies[0];
+    server_out = replies[1];
+    Status status = server.AttachStream(server_in, server_out, "stdin");
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    loop = std::thread([this]() { run_status = server.Run(); });
+  }
+
+  ~StreamHarness() {
+    server.Shutdown();
+    Join();
+    engine.Stop();
+    for (int fd : {to_server, server_in, server_out, from_server}) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+
+  /// End of input: closes the write end of the request pipe.
+  void CloseInput() {
+    ::close(to_server);
+    to_server = -1;
+  }
+
+  Status Join() {
+    if (loop.joinable()) loop.join();
+    return run_status;
+  }
+
+  /// After Run() returned: every reply byte the server wrote.
+  std::vector<uint8_t> DrainReplies() {
+    ::close(server_out);  // the server never closes an fd it did not open
+    server_out = -1;
+    std::vector<uint8_t> bytes;
+    uint8_t chunk[4096];
+    for (;;) {
+      const ssize_t n = ::read(from_server, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return bytes;
+      bytes.insert(bytes.end(), chunk, chunk + n);
+    }
+  }
+
+  ModelRegistry registry;
+  ServeEngine engine;
+  NetServer server;
+  int to_server = -1;
+  int server_in = -1;
+  int server_out = -1;
+  int from_server = -1;
+  std::thread loop;
+  Status run_status = Status::Ok();
+};
+
+TEST(NetServerStream, CleanEndOfInputReturnsOkAfterEveryReply) {
+  StreamHarness harness;
+  std::vector<uint8_t> stream;
+  for (uint64_t id = 1; id <= 20; ++id) {
+    const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(id)));
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  ASSERT_TRUE(WriteAll(harness.to_server, stream));
+  harness.CloseInput();
+  const Status status = harness.Join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+
+  // Run() returned only after the last reply was written, and the bytes
+  // are the engine-direct replies, in request order.
+  std::vector<uint8_t> expected;
+  for (uint64_t id = 1; id <= 20; ++id) {
+    const auto wire =
+        FrameBytes(EncodeReplyPayload(harness.engine.Call(MakeRequest(id))));
+    expected.insert(expected.end(), wire.begin(), wire.end());
+  }
+  EXPECT_EQ(harness.DrainReplies(), expected);
+  EXPECT_EQ(harness.server.stats().desync_teardowns, 0u);
+}
+
+TEST(NetServerStream, GarbageFrameReturnsLocatedDataLoss) {
+  StreamHarness harness;
+  std::vector<uint8_t> stream =
+      FrameBytes(EncodeRequestPayload(MakeRequest(1)));
+  const size_t good_bytes = stream.size();
+  // A length prefix far over the cap; the input stays open, so only the
+  // teardown can end Run().
+  for (uint8_t byte : {0xFF, 0xFF, 0xFF, 0xFF, 0xDE, 0xAD}) {
+    stream.push_back(byte);
+  }
+  ASSERT_TRUE(WriteAll(harness.to_server, stream));
+  const Status status = harness.Join();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("stdin: byte " + std::to_string(good_bytes)),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(harness.server.stats().desync_teardowns, 1u);
+}
+
+TEST(NetServerStream, ShutdownMidStreamAnswersEveryAdmittedRequest) {
+  StreamHarness harness;
+  // A cold fit keeps the engine busy while Shutdown() arrives; the input
+  // stays open, as on a signal mid-stream.
+  ServeRequest slow;
+  slow.id = 77;
+  slow.op = ServeOp::kFit;
+  slow.keyword = "fresh";
+  slow.values.resize(256);
+  for (size_t t = 0; t < slow.values.size(); ++t) {
+    slow.values[t] =
+        30.0 + 8.0 * std::sin(0.9 * static_cast<double>(t)) +
+        (t >= 20 && t < 23 ? 40.0 : 0.0);
+  }
+  std::vector<uint8_t> stream = FrameBytes(EncodeRequestPayload(slow));
+  for (uint64_t id = 1; id <= 5; ++id) {
+    const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(id)));
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  ASSERT_TRUE(WriteAll(harness.to_server, stream));
+  while (harness.server.stats().requests < 6) {
+    std::this_thread::yield();
+  }
+  harness.server.Shutdown();
+  const Status status = harness.Join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+
+  const std::vector<uint8_t> bytes = harness.DrainReplies();
+  FrameAssembler assembler("replies");
+  assembler.Append(bytes.data(), bytes.size());
+  std::vector<uint8_t> payload;
+  std::vector<uint64_t> ids;
+  for (;;) {
+    auto have = assembler.Next(&payload);
+    ASSERT_TRUE(have.ok()) << have.status().ToString();
+    if (!*have) break;
+    auto reply = DecodeReplyPayload(payload.data(), payload.size(), "reply");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply->status.ok()) << reply->status.ToString();
+    ids.push_back(reply->id);
+  }
+  EXPECT_EQ(assembler.buffered(), 0u);
+  EXPECT_EQ(ids, (std::vector<uint64_t>{77, 1, 2, 3, 4, 5}));
 }
 
 #endif  // __linux__

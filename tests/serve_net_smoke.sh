@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # dspot_serve TCP transport smoke: the loopback replies must be
 # byte-identical to stdin/stdout-mode replies for the same request
-# stream at 1 AND 8 worker threads; a hostile connection must not take
-# the server down; SIGTERM must drain, write --metrics-json, and exit 0;
-# and the new flags must reject bad values as usage errors.
+# stream at 1 AND 8 worker threads, also for a stream longer than the
+# admission queue; a hostile connection must not take the server down;
+# SIGTERM must drain, write --metrics-json, and exit 0; and the new flags
+# must reject bad values as usage errors.
 #
 # Usage: serve_net_smoke.sh <dspot_serve binary> <work dir>
 set -u
@@ -67,6 +68,27 @@ cmp -s baseline.bin tcp8.bin \
   || fail "8-thread TCP replies differ from stdin-mode replies"
 [ -s metrics.json ] || fail "--metrics-json not written on SIGTERM"
 grep -q '"serve\.' metrics.json || fail "metrics.json has no serve metrics"
+
+# --- a stream longer than the admission queue --------------------------------
+# 3,000 requests at the default --queue-cap 1024: each connection holds at
+# most max(queue cap, 256) requests in flight, so neither transport sheds
+# and stdin at 1 thread answers byte-identically to TCP at 8.
+"$SERVE" --gen-requests 3000 --gen-keywords 8 --gen-ticks 48 > long.bin \
+  || fail "gen-requests (long stream)"
+"$SERVE" --threads 1 < long.bin > long_stdin.bin 2> /dev/null \
+  || fail "stdin-mode serve (long stream)"
+start_server --threads 8
+"$SERVE" --connect 127.0.0.1:"$PORT" < long.bin > long_tcp.bin \
+  || fail "client against 8-thread server (long stream)"
+stop_server
+cmp -s long_stdin.bin long_tcp.bin \
+  || fail "long-stream TCP replies differ from stdin-mode replies"
+"$SERVE" --print-replies < long_tcp.bin > long_replies.txt \
+  || fail "--print-replies (long stream)"
+grep -q ResourceExhausted long_replies.txt \
+  && fail "long stream: requests were shed"
+grep -q "total replies: 3000" long_replies.txt \
+  || fail "long stream: expected 3000 replies"
 
 # --- SIGTERM drain in stdin mode also writes metrics and exits 0 -------------
 rm -f fifo stdin_metrics.json

@@ -3,7 +3,8 @@
 # not mis-parse to zero) and the full stdin/stdout protocol path: generate
 # a deterministic request stream, serve it at 1 and at 8 worker threads,
 # and require the reply bytes to be identical — the CLI-level face of the
-# engine's determinism contract.
+# engine's determinism contract — then feed stdin broken frames, which
+# must fail with an error located at the byte where the frame starts.
 #
 # Expects:
 #   -DDSPOT_SERVE=<path to the dspot_serve binary>
@@ -93,6 +94,36 @@ if(NOT same EQUAL 0)
           "replies diverge between 1 and 8 worker threads — the serve "
           "determinism contract is broken at the CLI level")
 endif()
+
+# --- Protocol errors on stdin -----------------------------------------------
+# Each stream is the generated requests followed by one broken frame: a
+# length prefix over the 64 MiB cap ("AAAA"), or a 16 MiB frame cut off
+# after its tag. Either must exit 1 naming stdin and the frame's byte.
+string(ASCII 1 soh)
+file(WRITE "${WORK_DIR}/over_cap.tail" "AAAA")
+file(WRITE "${WORK_DIR}/cut.tail" "${soh}${soh}${soh}${soh}DSRQ")
+foreach(case over_cap cut)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E cat "${requests_bin}"
+                          "${WORK_DIR}/${case}.tail"
+                  OUTPUT_FILE "${WORK_DIR}/${case}.bin"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "cannot assemble the ${case} stream")
+  endif()
+  execute_process(COMMAND "${DSPOT_SERVE}"
+                  INPUT_FILE "${WORK_DIR}/${case}.bin"
+                  OUTPUT_FILE "${WORK_DIR}/${case}_replies.bin"
+                  ERROR_VARIABLE err
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "${case} stream: expected exit 1, got ${rc}:\n${err}")
+  endif()
+  if(NOT err MATCHES "stdin: byte ${requests_size}: ")
+    message(FATAL_ERROR
+            "${case} stream: expected an error at stdin byte "
+            "${requests_size}, got:\n${err}")
+  endif()
+endforeach()
 
 # --- Reply decoder ----------------------------------------------------------
 execute_process(COMMAND "${DSPOT_SERVE}" --print-replies

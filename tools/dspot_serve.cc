@@ -20,9 +20,8 @@
 //     [--shards N]               registry shards (default 8)
 //     [--max-batch N]            dispatcher batch size (default 64)
 //     [--metrics-json F]         write an obs metrics snapshot on exit
-//   --listen PORT      serve the same frame protocol over TCP (epoll event
-//                      loop on 127.0.0.1; 0 = ephemeral port) instead of
-//                      stdin/stdout
+//   --listen PORT      serve the same frame protocol over TCP (127.0.0.1;
+//                      0 = ephemeral port) instead of stdin/stdout
 //     [--max-conns N]            connection cap (default 256)
 //     [--port-file F]            write the bound port to F (for scripts
 //                                using --listen 0)
@@ -34,10 +33,12 @@
 //     [--gen-keywords K] [--gen-ticks T] [--gen-horizon H] [--seed S]
 //   --print-replies    decode reply frames on stdin to readable text
 //
-// SIGINT/SIGTERM drain gracefully in both serve modes: stdin mode stops
-// reading, answers every in-flight request and flushes stdout; TCP mode
-// stops accepting/reading, flushes in-flight replies to every connection.
-// Either way --metrics-json is still written and the exit code is 0.
+// Both serve modes run NetServer's event loop (src/serve/net_server.h):
+// stdin/stdout is one more connection of it, so the two transports read,
+// window, answer and fail alike. SIGINT/SIGTERM drain gracefully in both:
+// the server stops accepting and reading, answers every in-flight request
+// and flushes its reply; --metrics-json is still written and the exit
+// code is 0.
 //
 // Flags parse strictly (see src/common/flags.h): empty values, trailing
 // garbage, unknown suffixes and unknown flags are usage errors naming the
@@ -46,6 +47,12 @@
 // Exit code 0 on success (including error *replies* — those belong to
 // their requests), 1 on a transport or usage error.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cerrno>
 #include <cinttypes>
@@ -53,26 +60,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
-
-#ifndef _WIN32
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
 
 #include "common/flags.h"
 #include "common/parse_util.h"
@@ -86,13 +80,10 @@
 namespace dspot {
 namespace {
 
-/// Signal plumbing shared by both serve transports. The handler does only
-/// async-signal-safe work: store the signal number, poke the net server's
-/// wake pipe (an atomic store + a write), and write to the self-pipe the
-/// stdin pump polls alongside fd 0.
+/// The handler does only async-signal-safe work: store the signal number
+/// and poke the server's wake pipe (an atomic store + a write).
 std::sig_atomic_t volatile g_signal = 0;
 std::atomic<NetServer*> g_net_server{nullptr};
-int g_signal_pipe[2] = {-1, -1};
 
 extern "C" void HandleShutdownSignal(int sig) {
   g_signal = sig;
@@ -100,25 +91,9 @@ extern "C" void HandleShutdownSignal(int sig) {
   if (server != nullptr) {
     server->Shutdown();
   }
-#ifndef _WIN32
-  if (g_signal_pipe[1] >= 0) {
-    const uint8_t byte = 0;
-    [[maybe_unused]] ssize_t ignored = ::write(g_signal_pipe[1], &byte, 1);
-  }
-#endif
 }
 
 bool InstallShutdownHandlers() {
-#ifndef _WIN32
-  if (::pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "dspot_serve: signal pipe: %s\n",
-                 std::strerror(errno));
-    return false;
-  }
-  for (int fd : g_signal_pipe) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-  }
   struct sigaction action{};
   action.sa_handler = HandleShutdownSignal;
   sigemptyset(&action.sa_mask);
@@ -129,7 +104,6 @@ bool InstallShutdownHandlers() {
                  std::strerror(errno));
     return false;
   }
-#endif
   return true;
 }
 
@@ -253,101 +227,6 @@ int PrintReplies() {
   return 0;
 }
 
-/// The stdin/stdout pump: poll {stdin, signal pipe}, reassemble frames
-/// through FrameAssembler, submit, answer in admission order with a
-/// bounded in-flight window. Returns 0 on clean EOF OR a graceful
-/// signal-driven drain, 1 on a transport error.
-int PumpStdio(ServeEngine& engine, size_t queue_cap) {
-#ifdef _WIN32
-  std::fprintf(stderr, "dspot_serve: stdio pump requires POSIX fds\n");
-  return 1;
-#else
-  // The in-flight window is bounded so a huge request file cannot hold
-  // every reply in memory at once.
-  const size_t kMaxInFlight = std::max<size_t>(queue_cap, size_t{256});
-  std::deque<std::future<ServeReply>> in_flight;
-  auto drain_one = [&in_flight]() -> Status {
-    ServeReply reply = in_flight.front().get();
-    in_flight.pop_front();
-    return WriteReplyFrame(reply, std::cout);
-  };
-  FrameAssembler assembler("stdin");
-  std::vector<uint8_t> chunk(size_t{64} << 10);
-  std::vector<uint8_t> payload;
-  bool eof = false;
-  while (!eof && g_signal == 0) {
-    pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_signal_pipe[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      std::fprintf(stderr, "dspot_serve: poll: %s\n", std::strerror(errno));
-      return 1;
-    }
-    if (fds[1].revents != 0 || g_signal != 0) break;
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    const ssize_t n = ::read(STDIN_FILENO, chunk.data(), chunk.size());
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      std::fprintf(stderr, "dspot_serve: stdin: %s\n", std::strerror(errno));
-      return 1;
-    }
-    if (n == 0) {
-      eof = true;
-      break;
-    }
-    assembler.Append(chunk.data(), static_cast<size_t>(n));
-    for (;;) {
-      StatusOr<bool> have = assembler.Next(&payload);
-      if (!have.ok()) {
-        std::fprintf(stderr, "dspot_serve: %s\n",
-                     have.status().ToString().c_str());
-        return 1;
-      }
-      if (!*have) break;
-      StatusOr<ServeRequest> request =
-          DecodeRequestPayload(payload.data(), payload.size(), "stdin");
-      if (!request.ok()) {
-        std::fprintf(stderr, "dspot_serve: %s\n",
-                     request.status().ToString().c_str());
-        return 1;
-      }
-      in_flight.push_back(engine.Submit(std::move(*request)));
-      while (in_flight.size() >= kMaxInFlight) {
-        Status status = drain_one();
-        if (!status.ok()) {
-          std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
-          return 1;
-        }
-      }
-    }
-  }
-  if (eof && assembler.buffered() != 0) {
-    std::fprintf(stderr,
-                 "dspot_serve: stdin: byte %" PRIu64
-                 ": %zu trailing bytes form an incomplete frame\n",
-                 assembler.stream_offset(), assembler.buffered());
-    return 1;
-  }
-  // Drain: every admitted request still gets its reply — a signal must
-  // not drop in-flight work on the floor.
-  while (!in_flight.empty()) {
-    Status status = drain_one();
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  std::cout.flush();
-  if (g_signal != 0) {
-    std::fprintf(stderr,
-                 "dspot_serve: caught signal %d; drained in-flight replies "
-                 "and shut down\n",
-                 static_cast<int>(g_signal));
-  }
-  return std::cout ? 0 : 1;
-#endif
-}
-
 int Serve(const Flags& flags) {
   int64_t threads = 0;
   int64_t queue_cap = 0;
@@ -407,19 +286,23 @@ int Serve(const Flags& flags) {
   serve_options.tenant_quota = static_cast<size_t>(tenant_quota);
   ServeEngine engine(&registry, serve_options);
 
-  int exit_code = 0;
-  if (flags.Has("--listen")) {
-    NetServerOptions net_options;
-    net_options.port = static_cast<uint16_t>(listen_port);
-    net_options.max_conns = static_cast<size_t>(max_conns);
-    NetServer server(&engine, net_options);
-    Status status = server.Start();
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: --listen: %s\n",
-                   status.ToString().c_str());
-      engine.Stop();
-      return 1;
-    }
+  // One event loop serves both modes: a TCP listener, or stdin/stdout
+  // as its only connection.
+  const bool listen = flags.Has("--listen");
+  NetServerOptions net_options;
+  net_options.port = static_cast<uint16_t>(listen_port);
+  net_options.max_conns = static_cast<size_t>(max_conns);
+  NetServer server(&engine, net_options);
+  Status status = listen ? server.Start()
+                         : server.AttachStream(STDIN_FILENO, STDOUT_FILENO,
+                                               "stdin");
+  if (!status.ok()) {
+    std::fprintf(stderr, "dspot_serve: %s%s\n", listen ? "--listen: " : "",
+                 status.ToString().c_str());
+    engine.Stop();
+    return 1;
+  }
+  if (listen) {
     // Scripts that pass --listen 0 read the kernel-chosen port here.
     const std::string port_file = flags.GetString("--port-file");
     if (!port_file.empty()) {
@@ -436,19 +319,22 @@ int Serve(const Flags& flags) {
     std::fprintf(stderr, "dspot_serve: listening on %s:%u\n",
                  net_options.bind_address.c_str(),
                  static_cast<unsigned>(server.port()));
-    g_net_server.store(&server, std::memory_order_release);
-    if (g_signal != 0) {
-      server.Shutdown();  // the signal raced Start(); drain immediately
-    }
-    status = server.Run();
-    g_net_server.store(nullptr, std::memory_order_release);
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
-      exit_code = 1;
-    }
-    // Engine callbacks reference the server: Stop() must drain them
-    // before `server` leaves scope.
-    engine.Stop();
+  }
+  g_net_server.store(&server, std::memory_order_release);
+  if (g_signal != 0) {
+    server.Shutdown();  // the signal raced the setup; drain immediately
+  }
+  status = server.Run();
+  g_net_server.store(nullptr, std::memory_order_release);
+  int exit_code = 0;
+  if (!status.ok()) {
+    std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
+    exit_code = 1;
+  }
+  // Engine callbacks reference the server: Stop() must drain them before
+  // `server` leaves scope.
+  engine.Stop();
+  if (listen) {
     const NetServerStats net = server.stats();
     std::fprintf(stderr,
                  "dspot_serve: tcp: %" PRIu64 " conns (%" PRIu64
@@ -457,15 +343,12 @@ int Serve(const Flags& flags) {
                  " B in / %" PRIu64 " B out\n",
                  net.accepted, net.rejected_at_capacity, net.desync_teardowns,
                  net.requests, net.replies, net.bytes_in, net.bytes_out);
-    if (g_signal != 0) {
-      std::fprintf(stderr,
-                   "dspot_serve: caught signal %d; drained connections and "
-                   "shut down\n",
-                   static_cast<int>(g_signal));
-    }
-  } else {
-    exit_code = PumpStdio(engine, static_cast<size_t>(queue_cap));
-    engine.Stop();
+  }
+  if (g_signal != 0) {
+    std::fprintf(stderr,
+                 "dspot_serve: caught signal %d; drained in-flight replies "
+                 "and shut down\n",
+                 static_cast<int>(g_signal));
   }
 
   const ServeStats stats = engine.stats();
@@ -491,7 +374,6 @@ int Serve(const Flags& flags) {
   return exit_code;
 }
 
-#ifndef _WIN32
 /// write()s all of `data` to `fd` (MSG_NOSIGNAL when it is a socket, so a
 /// dead peer surfaces as EPIPE instead of killing the process).
 bool SendAll(int fd, const void* data, size_t size, bool is_socket) {
@@ -508,17 +390,12 @@ bool SendAll(int fd, const void* data, size_t size, bool is_socket) {
   }
   return true;
 }
-#endif
 
 /// --connect HOST:PORT — a transparent frame pipe: stdin bytes go to the
 /// server verbatim, server bytes come back on stdout verbatim (so replies
 /// stay byte-comparable against stdin-mode output), with an optional
 /// tenant handshake sent first.
 int Connect(const Flags& flags) {
-#ifdef _WIN32
-  std::fprintf(stderr, "dspot_serve: --connect requires POSIX sockets\n");
-  return 1;
-#else
   const std::string target = flags.GetString("--connect");
   if (target.empty()) {
     std::fprintf(stderr, "dspot_serve: --connect: requires HOST:PORT\n");
@@ -636,7 +513,6 @@ int Connect(const Flags& flags) {
   reader.join();
   ::close(fd);
   return (write_ok && !reader_failed.load(std::memory_order_relaxed)) ? 0 : 1;
-#endif
 }
 
 int Main(int argc, char** argv) {
