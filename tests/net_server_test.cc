@@ -781,6 +781,23 @@ TEST(NetServerStream, CleanEndOfInputReturnsOkAfterEveryReply) {
   EXPECT_EQ(harness.server.stats().desync_teardowns, 0u);
 }
 
+TEST(NetServerStream, HelloBindsTenantAsOnTcp) {
+  StreamHarness harness;
+  std::vector<uint8_t> stream = FrameBytes(EncodeHelloPayload("team-x"));
+  const auto wire = FrameBytes(EncodeRequestPayload(MakeRequest(5)));
+  stream.insert(stream.end(), wire.begin(), wire.end());
+  ASSERT_TRUE(WriteAll(harness.to_server, stream));
+  harness.CloseInput();
+  const Status status = harness.Join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(harness.server.stats().handshakes, 1u);
+  const auto tenants = harness.engine.tenant_stats();
+  auto it = tenants.find("team-x");
+  ASSERT_NE(it, tenants.end());
+  EXPECT_EQ(it->second.submitted, 1u);
+  EXPECT_EQ(it->second.completed, 1u);
+}
+
 TEST(NetServerStream, GarbageFrameReturnsLocatedDataLoss) {
   StreamHarness harness;
   std::vector<uint8_t> stream =
