@@ -44,11 +44,6 @@ bool Random::Bernoulli(double p) {
   return dist(engine_);
 }
 
-double Random::Exponential(double rate) {
-  std::exponential_distribution<double> dist(rate);
-  return dist(engine_);
-}
-
 std::vector<double> Random::GaussianVector(size_t n, double mean,
                                            double stddev) {
   std::vector<double> out(n);

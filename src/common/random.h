@@ -49,9 +49,6 @@ class Random {
   /// Bernoulli draw with probability `p` of returning true.
   bool Bernoulli(double p);
 
-  /// Exponential draw with the given rate (lambda).
-  double Exponential(double rate);
-
   /// A vector of `n` i.i.d. Gaussian draws.
   std::vector<double> GaussianVector(size_t n, double mean, double stddev);
 

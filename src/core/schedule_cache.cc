@@ -109,10 +109,4 @@ std::span<const double> ScheduleCache::Eta(double growth_rate,
   });
 }
 
-void ScheduleCache::Invalidate() {
-  global_.valid = false;
-  local_.valid = false;
-  eta_.valid = false;
-}
-
 }  // namespace dspot

@@ -24,8 +24,7 @@ void BuildEtaTailInto(double growth_rate, size_t growth_start, size_t begin,
 
 /// Single-slot memo for the three per-fit schedules (global epsilon, local
 /// epsilon, eta). Accessors return a view of an internally owned vector
-/// that stays valid until the next call for the same schedule kind (or
-/// Invalidate()).
+/// that stays valid until the next call for the same schedule kind.
 ///
 /// Invalidation is by exact key comparison, not hashing: each slot stores
 /// a flattened copy of everything the schedule depends on (tick count,
@@ -53,9 +52,6 @@ class ScheduleCache {
   /// BuildEtaInto).
   std::span<const double> Eta(double growth_rate, size_t growth_start,
                               size_t n_ticks);
-
-  /// Drops all memoized schedules (buffers keep their capacity).
-  void Invalidate();
 
  private:
   struct Slot {

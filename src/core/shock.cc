@@ -27,17 +27,6 @@ size_t Shock::OccurrenceIndexAt(size_t t) const {
   return (offset - m * period) < width ? m : kNpos;
 }
 
-double Shock::MeanGlobalStrength() const {
-  if (global_strengths.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (double s : global_strengths) {
-    sum += s;
-  }
-  return sum / static_cast<double>(global_strengths.size());
-}
-
 double Shock::GlobalStrengthAt(size_t t) const {
   const size_t m = OccurrenceIndexAt(t);
   if (m == kNpos) {

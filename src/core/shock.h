@@ -71,9 +71,6 @@ struct Shock {
   /// mean strength.
   double LocalStrengthAt(size_t t, size_t location) const;
 
-  /// Mean of the fitted global strengths (0 if none).
-  double MeanGlobalStrength() const;
-
   /// True for t_p != infinity.
   bool IsCyclic() const { return period != kNonCyclic; }
 

@@ -78,6 +78,21 @@ Series SimulateGlobal(const ModelParamSet& params, size_t keyword,
   return out;
 }
 
+ModelParamSet BuildSingleKeywordSet(const KeywordGlobalParams& params,
+                                    const std::vector<Shock>& shocks,
+                                    size_t n_ticks) {
+  ModelParamSet set;
+  set.global = {params};
+  set.shocks = shocks;
+  for (Shock& shock : set.shocks) {
+    shock.keyword = 0;
+  }
+  set.num_keywords = 1;
+  set.num_locations = 1;
+  set.num_ticks = n_ticks;
+  return set;
+}
+
 void SimulateGlobalInto(const ModelParamSet& params, size_t keyword,
                         ScheduleCache* cache, std::span<double> out) {
   const KeywordGlobalParams& g = params.global[keyword];

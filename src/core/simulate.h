@@ -83,6 +83,14 @@ Series SimulateGlobal(const ModelParamSet& params, size_t keyword,
 void SimulateGlobalInto(const ModelParamSet& params, size_t keyword,
                         ScheduleCache* cache, std::span<double> out);
 
+/// The one-keyword ModelParamSet that SimulateGlobalInto(set, 0, ...)
+/// extrapolates — one keyword's fitted model outside a fit: `params` and
+/// `shocks` (re-tagged keyword 0) over `n_ticks` ticks, which may run past
+/// the fitted range.
+ModelParamSet BuildSingleKeywordSet(const KeywordGlobalParams& params,
+                                    const std::vector<Shock>& shocks,
+                                    size_t n_ticks);
+
 /// Simulates the local-level sequence of (keyword, location). Requires
 /// `params.has_local()`; falls back to a population share of 1/l of the
 /// global dynamics when local matrices are absent.

@@ -344,7 +344,6 @@ Status DurableEngine::Checkpoint() {
   DSPOT_RETURN_IF_ERROR(wal_->Sync());
   DSPOT_RETURN_IF_ERROR(engine_->SaveState(
       dir_ + "/" + CheckpointFileName(seq), seq, options_.retry));
-  previous_checkpoint_seq_ = last_checkpoint_seq_;
   last_checkpoint_seq_ = seq;
   DSPOT_RETURN_IF_ERROR(OpenFreshSegment(seq));
   flushes_since_checkpoint_ = 0;

@@ -157,7 +157,6 @@ class DurableEngine {
   size_t flushes_since_checkpoint_ = 0;
   static constexpr uint64_t kNoCheckpoint = ~uint64_t{0};
   uint64_t last_checkpoint_seq_ = kNoCheckpoint;
-  uint64_t previous_checkpoint_seq_ = kNoCheckpoint;
 };
 
 /// File-name helpers shared with tests: zero-padded so lexicographic and

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <utility>
 
@@ -215,6 +216,22 @@ std::string DirOf(const std::string& path) {
     return "/";
   }
   return path.substr(0, slash);
+}
+
+StatusOr<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    return Status::IoError("cannot open for reading: " + path);
+  }
+  std::string bytes;
+  char chunk[16384];
+  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
+    bytes.append(chunk, static_cast<size_t>(is.gcount()));
+  }
+  if (is.bad()) {
+    return Status::IoError("read failed: " + path);
+  }
+  return bytes;
 }
 
 Status SyncDir(const std::string& dir) {

@@ -142,6 +142,12 @@ Status TruncateFile(const std::string& path, uint64_t new_size);
 /// The directory component of `path` ("." when there is none).
 std::string DirOf(const std::string& path);
 
+/// The whole contents of `path`, read in chunks until end of file: never
+/// sized by the length a directory (huge) or a /proc file (0) reports.
+/// IoError "cannot open for reading: <path>" or "read failed: <path>" —
+/// a read that fails part way is never taken for end of file.
+StatusOr<std::string> ReadFileBytes(const std::string& path);
+
 }  // namespace dspot
 
 #endif  // DSPOT_DURABLE_DURABLE_FILE_H_

@@ -1,8 +1,6 @@
 #include "durable/wal.h"
 
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -11,34 +9,6 @@
 namespace dspot {
 
 namespace {
-
-void PutLe32(std::vector<uint8_t>* out, size_t at, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    (*out)[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-void PutLe64(std::vector<uint8_t>* out, size_t at, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    (*out)[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-uint32_t GetLe32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-uint64_t GetLe64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
 
 bool ValidType(uint8_t type) {
   return type >= static_cast<uint8_t>(WalRecordType::kIntern) &&
@@ -54,7 +24,7 @@ bool TryParseFrame(const uint8_t* data, size_t size, size_t off,
     return false;
   }
   const uint8_t* frame = data + off;
-  const uint32_t type_ext = GetLe32(frame + 4);
+  const uint32_t type_ext = LoadLe32(frame + 4);
   const uint8_t type = static_cast<uint8_t>(type_ext & 0xff);
   const size_t ext_len = static_cast<size_t>(type_ext >> 8);
   if (!ValidType(type) || ext_len % 8 != 0 || ext_len > kWalMaxExtBytes) {
@@ -64,16 +34,16 @@ bool TryParseFrame(const uint8_t* data, size_t size, size_t off,
   if (off + total > size) {
     return false;
   }
-  const uint32_t stored_crc = GetLe32(frame);
+  const uint32_t stored_crc = LoadLe32(frame);
   const uint32_t crc = Crc32(frame + 4, total - 4);
   if (crc != stored_crc) {
     return false;
   }
   rec->type = static_cast<WalRecordType>(type);
-  rec->seq = GetLe64(frame + 8);
-  rec->a = GetLe64(frame + 16);
-  rec->b = GetLe64(frame + 24);
-  rec->c = GetLe64(frame + 32);
+  rec->seq = LoadLe64(frame + 8);
+  rec->a = LoadLe64(frame + 16);
+  rec->b = LoadLe64(frame + 24);
+  rec->c = LoadLe64(frame + 32);
   rec->name.clear();
   if (ext_len > 0) {
     // The extension is the name zero-padded to 8 bytes; the name stops at
@@ -118,17 +88,18 @@ Status WalWriter::Append(WalRecordType type, uint64_t a, uint64_t b,
   const size_t total = kWalFrameBytes + ext_len;
   frame_.assign(total, 0);
   const uint64_t seq = next_seq_;
-  PutLe32(&frame_, 4,
-          static_cast<uint32_t>(type) |
-              (static_cast<uint32_t>(ext_len) << 8));
-  PutLe64(&frame_, 8, seq);
-  PutLe64(&frame_, 16, a);
-  PutLe64(&frame_, 24, b);
-  PutLe64(&frame_, 32, c);
+  const uint32_t type_ext =
+      static_cast<uint32_t>(type) | static_cast<uint32_t>(ext_len) << 8;
+  uint8_t* frame = frame_.data();
+  StoreLe32(frame + 4, type_ext);
+  StoreLe64(frame + 8, seq);
+  StoreLe64(frame + 16, a);
+  StoreLe64(frame + 24, b);
+  StoreLe64(frame + 32, c);
   if (!name.empty()) {
-    std::memcpy(frame_.data() + kWalFrameBytes, name.data(), name.size());
+    std::memcpy(frame + kWalFrameBytes, name.data(), name.size());
   }
-  PutLe32(&frame_, 0, Crc32(frame_.data() + 4, total - 4));
+  StoreLe32(frame, Crc32(frame + 4, total - 4));
   DSPOT_RETURN_IF_ERROR(file_.WriteAll(frame_.data(), total));
   ++next_seq_;
   if (seq_out != nullptr) {
@@ -142,16 +113,7 @@ Status WalWriter::Append(WalRecordType type, uint64_t a, uint64_t b,
 StatusOr<WalSegmentScan> ReadWalSegment(const std::string& path,
                                         uint64_t expected_first_seq,
                                         bool allow_torn_tail) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is && !is.eof()) {
-    return Status::IoError("read failed: " + path);
-  }
-  const std::string bytes = buf.str();
+  DSPOT_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
   const size_t size = bytes.size();
 

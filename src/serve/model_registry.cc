@@ -8,13 +8,13 @@
 #include <cerrno>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "durable/durable_file.h"
 #include "guard/fault_injector.h"
 #include "obs/metrics.h"
 #include "snapshot/codec.h"
-#include "snapshot/snapshot.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -24,38 +24,34 @@ namespace {
 // Spill-log layout, all integers little-endian:
 //
 //   file header  "DSPOTRGL", u32 version
-//   record       u32 keyword length, u32 image length, u32 header CRC,
-//                keyword bytes, EncodeSnapshotFile image
+//   record       u32 keyword length, u32 body length, u32 header CRC,
+//                keyword bytes, body
+//   body         u64 model length, the PutKeywordModel bytes of the
+//                model, u32 CRC-32 of them (ByteWriter::PutChecksummed)
 //
 // The header CRC covers the record's first 12 bytes (CRC field zeroed)
 // and its keyword, so the open-time scan can trust a record's extent and
-// keyword without reading its image; the image carries its own payload
-// CRC, checked on every reload.
+// keyword without reading its body; the body carries its own CRC, checked
+// on every reload. A log of another version is refused at open.
 constexpr char kLogMagic[8] = {'D', 'S', 'P', 'O', 'T', 'R', 'G', 'L'};
-constexpr uint32_t kLogVersion = 1;
+constexpr uint32_t kLogVersion = 2;
 constexpr uint64_t kLogHeaderBytes = 12;
 constexpr uint64_t kRecordHeaderBytes = 12;
-// The snapshot codec's label cap: a longer keyword could not reload.
+// Caps on a record's keyword and body, so a corrupt header cannot drive a
+// huge read before its CRC is checked.
 constexpr uint64_t kMaxKeywordBytes = 1u << 16;
-constexpr uint64_t kMaxImageBytes = 1u << 30;
+constexpr uint64_t kMaxBodyBytes = 1u << 30;
 // The open-time scan reads this much per record in one pread: the header
 // and a keyword of up to 244 bytes (a longer one costs a second read).
 constexpr size_t kScanPeekBytes = 256;
 // Compaction copies live records through a buffer of about this size.
 constexpr size_t kCompactChunkBytes = 1u << 20;
 
-void PutU32At(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<uint8_t>(v >> (8 * i));
-  }
-}
-
-uint32_t GetU32At(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
+/// The spill log's file header.
+std::vector<uint8_t> LogHeader() {
+  ByteWriter w;
+  w.PutFileHeader(kLogMagic, kLogVersion);
+  return std::move(w).TakeBytes();
 }
 
 /// The header CRC of the record whose header and `keyword_len` keyword
@@ -141,16 +137,20 @@ StatusOr<UniqueFd> OpenLocked(const std::string& path) {
 
 }  // namespace
 
-std::vector<uint8_t> EncodeSpillRecord(std::string_view keyword,
-                                       const std::vector<uint8_t>& image) {
-  std::vector<uint8_t> record(kRecordHeaderBytes + keyword.size());
-  PutU32At(record.data(), static_cast<uint32_t>(keyword.size()));
-  PutU32At(record.data() + 4, static_cast<uint32_t>(image.size()));
-  std::copy(keyword.begin(), keyword.end(),
-            record.begin() + kRecordHeaderBytes);
-  PutU32At(record.data() + 8, HeaderCrc(record.data(), keyword.size()));
-  record.insert(record.end(), image.begin(), image.end());
-  return record;
+std::vector<uint8_t> EncodeSpillRecord(const ServedModel& model) {
+  ByteWriter payload;
+  payload.PutKeywordModel(model.fit_ticks, model.params, model.cost_bits,
+                          model.rmse, model.shocks);
+  ByteWriter record;
+  record.PutU32(static_cast<uint32_t>(model.keyword.size()));
+  // The body: u64 payload length, payload, u32 CRC.
+  record.PutU32(static_cast<uint32_t>(8 + payload.size() + 4));
+  record.PutU32(0);  // header CRC, filled in below
+  record.PutBytes(model.keyword.data(), model.keyword.size());
+  record.PutChecksummed(payload.bytes());
+  std::vector<uint8_t> bytes = std::move(record).TakeBytes();
+  StoreLe32(bytes.data() + 8, HeaderCrc(bytes.data(), model.keyword.size()));
+  return bytes;
 }
 
 /// The append-only spill log: one file per spill directory, written only
@@ -225,11 +225,9 @@ Status ModelRegistry::SpillLog::Scan(const Visitor& visit) {
   const uint64_t size = writer_.size();
   if (size < kLogHeaderBytes) {
     // A new log, or one torn inside its header: start it afresh.
-    uint8_t header[kLogHeaderBytes];
-    std::memcpy(header, kLogMagic, sizeof(kLogMagic));
-    PutU32At(header + sizeof(kLogMagic), kLogVersion);
+    const std::vector<uint8_t> header = LogHeader();
     DSPOT_RETURN_IF_ERROR(writer_.Truncate(0));
-    DSPOT_RETURN_IF_ERROR(writer_.WriteAll(header, sizeof(header)));
+    DSPOT_RETURN_IF_ERROR(writer_.WriteAll(header.data(), header.size()));
     if (durable_) {
       DSPOT_RETURN_IF_ERROR(writer_.Sync());
       DSPOT_RETURN_IF_ERROR(SyncDir(DirOf(path_)));
@@ -239,17 +237,9 @@ Status ModelRegistry::SpillLog::Scan(const Visitor& visit) {
   uint8_t header[kLogHeaderBytes];
   DSPOT_ASSIGN_OR_RETURN(
       size_t n, PreadFull(reader_.get(), header, sizeof(header), 0, path_));
-  if (n < sizeof(header) ||
-      std::memcmp(header, kLogMagic, sizeof(kLogMagic)) != 0) {
-    return Status::InvalidArgument(path_ +
-                                   ": not a dspot spill log (bad magic)");
-  }
-  if (const uint32_t version = GetU32At(header + sizeof(kLogMagic));
-      version != kLogVersion) {
-    return Status::InvalidArgument(
-        path_ + ": unsupported spill log version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kLogVersion) + ")");
-  }
+  ByteReader header_reader(header, n, path_);
+  DSPOT_RETURN_IF_ERROR(
+      header_reader.GetFileHeader(kLogMagic, kLogVersion, "spill log"));
   // Walk the record headers. The first record that is incomplete or fails
   // its header CRC ends the log: appends are sequential, so that is where
   // a crash tore the last write.
@@ -263,10 +253,10 @@ Status ModelRegistry::SpillLog::Scan(const Visitor& visit) {
     if (n < kRecordHeaderBytes) {
       break;
     }
-    const uint64_t keyword_len = GetU32At(peek.data());
-    const uint64_t image_len = GetU32At(peek.data() + 4);
-    const uint64_t length = kRecordHeaderBytes + keyword_len + image_len;
-    if (keyword_len > kMaxKeywordBytes || image_len > kMaxImageBytes ||
+    const uint64_t keyword_len = LoadLe32(peek.data());
+    const uint64_t body_len = LoadLe32(peek.data() + 4);
+    const uint64_t length = kRecordHeaderBytes + keyword_len + body_len;
+    if (keyword_len > kMaxKeywordBytes || body_len > kMaxBodyBytes ||
         length > size - offset) {
       break;
     }
@@ -278,7 +268,7 @@ Status ModelRegistry::SpillLog::Scan(const Visitor& visit) {
         break;
       }
     }
-    if (HeaderCrc(peek.data(), keyword_len) != GetU32At(peek.data() + 8)) {
+    if (HeaderCrc(peek.data(), keyword_len) != LoadLe32(peek.data() + 8)) {
       break;
     }
     const auto keyword = peek.begin() + kRecordHeaderBytes;
@@ -341,11 +331,11 @@ StatusOr<ServedModel> ModelRegistry::SpillLog::Load(
                             std::to_string(got) + " of " +
                             std::to_string(record.size()) + " bytes)");
   }
-  const uint64_t keyword_len = GetU32At(record.data());
+  const uint64_t keyword_len = LoadLe32(record.data());
   if (keyword_len != keyword.size() ||
-      kRecordHeaderBytes + keyword_len + GetU32At(record.data() + 4) !=
+      kRecordHeaderBytes + keyword_len + LoadLe32(record.data() + 4) !=
           loc.length ||
-      HeaderCrc(record.data(), keyword_len) != GetU32At(record.data() + 8) ||
+      HeaderCrc(record.data(), keyword_len) != LoadLe32(record.data() + 8) ||
       !std::equal(keyword.begin(), keyword.end(),
                   record.begin() + kRecordHeaderBytes)) {
     return Status::DataLoss(context +
@@ -353,17 +343,18 @@ StatusOr<ServedModel> ModelRegistry::SpillLog::Load(
                             "for keyword '" +
                             std::string(keyword) + "'");
   }
-  const size_t image = kRecordHeaderBytes + keyword_len;
-  DSPOT_ASSIGN_OR_RETURN(
-      ModelSnapshot snapshot,
-      DecodeSnapshotFile(record.data() + image, record.size() - image,
-                         context));
-  StatusOr<ServedModel> model =
-      ServedModel::FromSnapshot(snapshot, keyword, context);
-  if (!model.ok() && model.status().code() == StatusCode::kNotFound) {
-    // The header names the keyword, so an image without it is corrupt:
-    // NotFound would read as "never Put" and let a refit cold-start.
-    return Status::DataLoss(model.status().message());
+  const size_t body = kRecordHeaderBytes + keyword_len;
+  ByteReader body_reader(record.data() + body, record.size() - body, context);
+  DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
+                         body_reader.GetChecksummed());
+  ByteReader r(payload.data(), payload.size(), context);
+  ServedModel model;
+  model.keyword = std::string(keyword);
+  DSPOT_RETURN_IF_ERROR(r.GetKeywordModel(
+      std::numeric_limits<uint64_t>::max(), &model.fit_ticks, &model.params,
+      &model.cost_bits, &model.rmse, &model.shocks));
+  if (r.remaining() != 0 || body_reader.remaining() != 0) {
+    return r.CorruptAt("trailing bytes after the keyword model");
   }
   return model;
 }
@@ -397,9 +388,7 @@ Status ModelRegistry::SpillLog::Compact(std::vector<SpillLoc*> live) {
             });
   std::vector<uint64_t> offsets;
   offsets.reserve(live.size());
-  std::vector<uint8_t> chunk(kLogHeaderBytes);
-  std::memcpy(chunk.data(), kLogMagic, sizeof(kLogMagic));
-  PutU32At(chunk.data() + sizeof(kLogMagic), kLogVersion);
+  std::vector<uint8_t> chunk = LogHeader();
   for (const SpillLoc* loc : live) {
     offsets.push_back(out->size() + chunk.size());
     const size_t at = chunk.size();
@@ -461,69 +450,6 @@ uint64_t ServedModel::ResidentBytes() const {
   return bytes;
 }
 
-ModelSnapshot ServedModel::ToSnapshot() const {
-  ModelSnapshot s;
-  s.params.global = {params};
-  s.params.shocks = shocks;
-  for (Shock& shock : s.params.shocks) {
-    shock.keyword = 0;
-  }
-  s.params.num_keywords = 1;
-  s.params.num_locations = 0;
-  s.params.num_ticks = static_cast<size_t>(fit_ticks);
-  s.keywords = {keyword};
-  s.global_rmse = {rmse};
-  s.total_cost_bits = cost_bits;
-  s.health = health;
-  return s;
-}
-
-StatusOr<ServedModel> ServedModel::FromSnapshot(const ModelSnapshot& snapshot,
-                                                std::string_view keyword,
-                                                const std::string& context) {
-  // Locate the keyword by label. The snapshot's keyword ids are private to
-  // the snapshot: one written under an older interned table (or a
-  // multi-keyword batch snapshot, or a planted record) stores the SAME
-  // keyword under a DIFFERENT index, so trusting a stored id would serve
-  // some other keyword's parameters without any error.
-  const auto it =
-      std::find(snapshot.keywords.begin(), snapshot.keywords.end(), keyword);
-  if (it == snapshot.keywords.end()) {
-    return Status::NotFound(context + ": snapshot does not contain keyword '" +
-                            std::string(keyword) + "'");
-  }
-  const size_t idx =
-      static_cast<size_t>(it - snapshot.keywords.begin());
-  const ModelParamSet& p = snapshot.params;
-  if (idx >= p.global.size()) {
-    return Status::InvalidArgument(
-        context + ": keyword '" + std::string(keyword) + "' has label index " +
-        std::to_string(idx) + " but the snapshot carries only " +
-        std::to_string(p.global.size()) + " parameter rows");
-  }
-  if (idx >= snapshot.global_rmse.size()) {
-    return Status::InvalidArgument(
-        context + ": keyword '" + std::string(keyword) +
-        "' has no rmse entry (index " + std::to_string(idx) + ", " +
-        std::to_string(snapshot.global_rmse.size()) + " entries)");
-  }
-  ServedModel m;
-  m.keyword = std::string(keyword);
-  m.params = p.global[idx];
-  for (const Shock& s : p.shocks) {
-    if (s.keyword == idx) {
-      Shock local = s;
-      local.keyword = 0;  // single-keyword coordinates
-      m.shocks.push_back(std::move(local));
-    }
-  }
-  m.fit_ticks = p.num_ticks;
-  m.rmse = snapshot.global_rmse[idx];
-  m.cost_bits = snapshot.total_cost_bits;
-  m.health = snapshot.health;
-  return m;
-}
-
 GlobalSequenceFit ServedModel::ToWarmStart() const {
   GlobalSequenceFit fit;
   fit.params = params;
@@ -533,7 +459,6 @@ GlobalSequenceFit ServedModel::ToWarmStart() const {
   fit.estimate = Series(static_cast<size_t>(fit_ticks));
   fit.cost_bits = cost_bits;
   fit.rmse = rmse;
-  fit.health = health;
   return fit;
 }
 
@@ -620,14 +545,14 @@ Status ModelRegistry::Put(const ServedModel& model) {
         " bytes exceeds the spill cap of " + std::to_string(kMaxKeywordBytes));
   }
   // Encode outside the shard lock; only the append serializes.
-  const std::vector<uint8_t> image = EncodeSnapshotFile(model.ToSnapshot());
-  if (image.size() > kMaxImageBytes) {
+  const std::vector<uint8_t> record = EncodeSpillRecord(model);
+  if (const uint64_t body =
+          record.size() - kRecordHeaderBytes - model.keyword.size();
+      body > kMaxBodyBytes) {
     return Status::InvalidArgument(
-        "model '" + model.keyword + "' encodes to " +
-        std::to_string(image.size()) + " bytes, over the spill cap of " +
-        std::to_string(kMaxImageBytes));
+        "model '" + model.keyword + "' encodes to " + std::to_string(body) +
+        " bytes, over the spill cap of " + std::to_string(kMaxBodyBytes));
   }
-  const std::vector<uint8_t> record = EncodeSpillRecord(model.keyword, image);
   bool compact = false;
   {
     // Append and index UNDER the shard lock: the record is in the log

@@ -14,7 +14,6 @@
 #include "common/statusor.h"
 #include "core/global_fit.h"
 #include "core/params.h"
-#include "snapshot/snapshot.h"
 
 namespace dspot {
 
@@ -22,20 +21,22 @@ namespace dspot {
 /// its fitted single-keyword model, bounded by a resident-byte budget and
 /// (optionally) backed by an append-only spill log.
 ///
-/// The registry is a *cache over durable snapshots*, not the source of
-/// truth: Put() appends the model's snapshot image to the spill log before
-/// the entry becomes resident, eviction merely drops the resident copy,
-/// and a Get() miss reloads — warm-starts — the model from its record.
-/// With a spill directory configured, the set of resident entries is thus
-/// pure performance state: any interleaving of hits, misses, and
-/// evictions serves bit-identical models (snapshot round-trips are
-/// bit-exact by the codec's contract). Without one, eviction forgets the
-/// model and a later Get() reports NotFound.
+/// The registry is a *cache over its spill log*, not the source of
+/// truth: Put() appends the model's record to the spill log before the
+/// entry becomes resident, eviction merely drops the resident copy, and a
+/// Get() miss reloads — warm-starts — the model from its record. With a
+/// spill directory configured, the set of resident entries is thus pure
+/// performance state: any interleaving of hits, misses, and evictions
+/// serves bit-identical models (keyword-model round trips are bit-exact
+/// by the codec's contract). Without one, eviction forgets the model and
+/// a later Get() reports NotFound.
 ///
 /// The spill directory holds one file, kSpillLogName, whatever the
-/// keywords or the shard count: a file header, then one record per Put (a
-/// 12-byte header of keyword length, image length and header CRC, the
-/// keyword bytes, and the unchanged EncodeSnapshotFile image). Each shard
+/// keywords or the shard count: a file header ("DSPOTRGL", version 2),
+/// then one record per Put (a 12-byte header of keyword length, body
+/// length and header CRC, the keyword bytes, and a body holding the
+/// model's ByteWriter::PutKeywordModel bytes behind their own CRC). A log
+/// of another version is refused at open. Each shard
 /// indexes its keywords' latest records in memory. Opening a registry
 /// over an existing log takes an advisory lock on it, rebuilds the index
 /// from the record headers and truncates a torn tail. When dead records
@@ -69,14 +70,9 @@ struct RegistryOptions {
   bool durable_spill = false;
 };
 
-/// The spill-log record holding `image` (an EncodeSnapshotFile image) for
-/// `keyword`: the bytes Put appends. Exposed so tests can plant records.
-std::vector<uint8_t> EncodeSpillRecord(std::string_view keyword,
-                                       const std::vector<uint8_t>& image);
-
 /// One keyword's servable model — the global SIV parameters plus the
 /// shock inventory, in fit-local coordinates (tick 0 = first fitted
-/// tick). Round-trips bit-exactly through a single-keyword ModelSnapshot.
+/// tick). Round-trips bit-exactly through its spill record.
 struct ServedModel {
   std::string keyword;
   KeywordGlobalParams params;
@@ -84,29 +80,18 @@ struct ServedModel {
   uint64_t fit_ticks = 0;     ///< length of the fitted range
   double rmse = 0.0;
   double cost_bits = 0.0;
-  FitHealth health;
 
   /// Approximate resident footprint used against the byte budget.
   uint64_t ResidentBytes() const;
-
-  /// The single-keyword snapshot encoding of this model.
-  ModelSnapshot ToSnapshot() const;
-
-  /// Extracts `keyword`'s model from a snapshot — by NAME, never by a
-  /// stored index: the snapshot's keyword set may differ from the
-  /// registry's interned table (a planted or corrupt spill record, a
-  /// multi-keyword batch snapshot), so stored indices are remapped through
-  /// the label lookup. NotFound when the snapshot does not carry the
-  /// keyword; InvalidArgument when its shape is inconsistent. `context`
-  /// labels errors (a file path, or the log path and record offset).
-  static StatusOr<ServedModel> FromSnapshot(const ModelSnapshot& snapshot,
-                                            std::string_view keyword,
-                                            const std::string& context);
 
   /// The warm-start seed RefitGlobalSequence expects (estimate carries
   /// only its length — the fitted values are re-derived by simulation).
   GlobalSequenceFit ToWarmStart() const;
 };
+
+/// The spill-log record of `model`: the bytes Put appends. Exposed so
+/// tests can plant records.
+std::vector<uint8_t> EncodeSpillRecord(const ServedModel& model);
 
 /// Monotonic counters (also exported as serve.registry.* obs metrics when
 /// the registry is armed) plus a point-in-time residency snapshot.
@@ -161,7 +146,7 @@ class ModelRegistry {
   /// Where a keyword's latest record sits in the spill log.
   struct SpillLoc {
     uint64_t offset = 0;
-    uint64_t length = 0;  ///< header + keyword + image
+    uint64_t length = 0;  ///< header + keyword + body
   };
   struct Entry {
     ServedModel model;

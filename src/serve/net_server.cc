@@ -304,14 +304,8 @@ void NetServer::HandleReadable(Conn& conn) {
     // The window never holds back a complete frame when a read happens,
     // so buffered bytes here are a frame cut short — a protocol error
     // like any other, not a quiet end.
-    if (conn.assembler.buffered() != 0) {
-      Teardown(conn,
-               Status::DataLoss(
-                   conn.label + ": byte " +
-                   std::to_string(conn.assembler.stream_offset()) + ": " +
-                   std::to_string(conn.assembler.buffered()) +
-                   " trailing bytes form an incomplete frame"),
-               true);
+    if (Status end = conn.assembler.Finish(); !end.ok()) {
+      Teardown(conn, end, true);
       return;
     }
     conn.read_closed = true;
@@ -443,22 +437,14 @@ bool NetServer::PumpReplies(Conn& conn) {
     conn.ready.erase(conn.ready.begin());
     ++conn.next_write_seq;
     --conn.in_flight;
-    if (payload.size() > kServeMaxFrameBytes) {
-      // Unreachable by the forecast-cap static_assert, but a frame no
-      // reader could accept must never be emitted.
+    // Unreachable by the forecast-cap static_assert, but a frame no
+    // reader could accept must never be emitted.
+    if (Status status = AppendFrame(payload, &conn.wbuf); !status.ok()) {
       Teardown(conn,
-               Status::InvalidArgument(
-                   conn.label + ": reply payload " +
-                   std::to_string(payload.size()) + " bytes exceeds cap"),
+               Status(status.code(), conn.label + ": " + status.message()),
                false);
       return false;
     }
-    uint8_t prefix[4];
-    for (int i = 0; i < 4; ++i) {
-      prefix[i] = static_cast<uint8_t>((payload.size() >> (8 * i)) & 0xff);
-    }
-    conn.wbuf.insert(conn.wbuf.end(), prefix, prefix + 4);
-    conn.wbuf.insert(conn.wbuf.end(), payload.begin(), payload.end());
     ++queued;
   }
   if (queued > 0) {

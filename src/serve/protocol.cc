@@ -1,9 +1,6 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <cstring>
-#include <istream>
-#include <ostream>
 
 #include "snapshot/codec.h"
 
@@ -17,66 +14,9 @@ constexpr uint64_t kMaxValues = kServeMaxFrameBytes / 8;
 
 /// A maximal forecast reply (kServeMaxForecastTicks values plus the fixed
 /// header fields) must still fit one frame, or the engine could produce a
-/// reply WriteFrame has to reject.
+/// reply AppendFrame has to reject.
 static_assert(kServeMaxForecastTicks * 8 + 4096 <= kServeMaxFrameBytes,
               "forecast cap exceeds the wire frame cap");
-
-Status WriteFrame(const std::vector<uint8_t>& payload, std::ostream& out) {
-  // Never emit a frame no reader will accept: a payload over the cap
-  // would be rejected as DataLoss on the far side (and a length over
-  // UINT32_MAX would silently truncate the prefix, desynchronizing the
-  // whole stream).
-  if (payload.size() > kServeMaxFrameBytes) {
-    return Status::InvalidArgument(
-        "serve frame: payload " + std::to_string(payload.size()) +
-        " bytes exceeds cap " + std::to_string(kServeMaxFrameBytes) +
-        "; frame not written");
-  }
-  ByteWriter prefix;
-  prefix.PutU32(static_cast<uint32_t>(payload.size()));
-  out.write(reinterpret_cast<const char*>(prefix.bytes().data()),
-            static_cast<std::streamsize>(prefix.size()));
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  if (!out) {
-    return Status::IoError("serve frame: short write");
-  }
-  return Status::Ok();
-}
-
-/// Reads one length-prefixed payload. false = clean EOF before the first
-/// prefix byte; a partial prefix or short payload is DataLoss.
-StatusOr<bool> ReadFrame(std::istream& in, const std::string& context,
-                         std::vector<uint8_t>* payload) {
-  uint8_t prefix[4];
-  in.read(reinterpret_cast<char*>(prefix), sizeof(prefix));
-  if (in.gcount() == 0 && in.eof()) {
-    return false;
-  }
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(prefix))) {
-    return Status::DataLoss(context + ": truncated frame length prefix (" +
-                            std::to_string(in.gcount()) + " of 4 bytes)");
-  }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(prefix[i]) << (8 * i);
-  }
-  if (length > kServeMaxFrameBytes) {
-    return Status::DataLoss(context + ": frame length " +
-                            std::to_string(length) + " exceeds cap " +
-                            std::to_string(kServeMaxFrameBytes) +
-                            " (desynchronized stream?)");
-  }
-  payload->resize(length);
-  in.read(reinterpret_cast<char*>(payload->data()),
-          static_cast<std::streamsize>(length));
-  if (in.gcount() != static_cast<std::streamsize>(length)) {
-    return Status::DataLoss(context + ": truncated frame payload (" +
-                            std::to_string(in.gcount()) + " of " +
-                            std::to_string(length) + " bytes)");
-  }
-  return true;
-}
 
 Status CheckTag(ByteReader& r, uint32_t want, const char* kind) {
   DSPOT_ASSIGN_OR_RETURN(uint32_t tag, r.GetU32());
@@ -239,9 +179,23 @@ StatusOr<std::string> DecodeHelloPayload(const uint8_t* data, size_t size,
   return tenant;
 }
 
-Status WriteHelloFrame(const std::string& tenant, std::ostream& out) {
-  DSPOT_RETURN_IF_ERROR(ValidateTenantName(tenant));
-  return WriteFrame(EncodeHelloPayload(tenant), out);
+Status AppendFrame(const std::vector<uint8_t>& payload,
+                   std::vector<uint8_t>* out) {
+  // Never emit a frame no reader will accept: a payload over the cap
+  // would be rejected as DataLoss on the far side (and a length over
+  // UINT32_MAX would silently truncate the prefix, desynchronizing the
+  // whole stream).
+  if (payload.size() > kServeMaxFrameBytes) {
+    return Status::InvalidArgument(
+        "serve frame: payload " + std::to_string(payload.size()) +
+        " bytes exceeds cap " + std::to_string(kServeMaxFrameBytes) +
+        "; frame not written");
+  }
+  const size_t at = out->size();
+  out->resize(at + 4);
+  StoreLe32(out->data() + at, static_cast<uint32_t>(payload.size()));
+  out->insert(out->end(), payload.begin(), payload.end());
+  return Status::Ok();
 }
 
 StatusOr<uint32_t> PeekPayloadTag(const uint8_t* data, size_t size,
@@ -250,11 +204,7 @@ StatusOr<uint32_t> PeekPayloadTag(const uint8_t* data, size_t size,
     return Status::DataLoss(context + ": payload of " + std::to_string(size) +
                             " bytes is shorter than a frame tag");
   }
-  uint32_t tag = 0;
-  for (int i = 0; i < 4; ++i) {
-    tag |= static_cast<uint32_t>(data[i]) << (8 * i);
-  }
-  return tag;
+  return LoadLe32(data);
 }
 
 FrameAssembler::FrameAssembler(std::string context)
@@ -279,11 +229,7 @@ StatusOr<bool> FrameAssembler::Next(std::vector<uint8_t>* payload) {
   if (buf_.size() - pos_ < 4) {
     return false;
   }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(buf_[pos_ + static_cast<size_t>(i)])
-              << (8 * i);
-  }
+  const uint32_t length = LoadLe32(buf_.data() + pos_);
   if (length > kServeMaxFrameBytes) {
     // Beyond this point no byte boundary can be trusted; poison the
     // stream instead of resynchronizing on garbage.
@@ -302,36 +248,14 @@ StatusOr<bool> FrameAssembler::Next(std::vector<uint8_t>* payload) {
   return true;
 }
 
-Status WriteRequestFrame(const ServeRequest& request, std::ostream& out) {
-  return WriteFrame(EncodeRequestPayload(request), out);
-}
-
-Status WriteReplyFrame(const ServeReply& reply, std::ostream& out) {
-  return WriteFrame(EncodeReplyPayload(reply), out);
-}
-
-StatusOr<bool> ReadRequestFrame(std::istream& in, const std::string& context,
-                                ServeRequest* out) {
-  std::vector<uint8_t> payload;
-  DSPOT_ASSIGN_OR_RETURN(bool have, ReadFrame(in, context, &payload));
-  if (!have) {
-    return false;
+Status FrameAssembler::Finish() const {
+  if (buffered() == 0) {
+    return Status::Ok();
   }
-  DSPOT_ASSIGN_OR_RETURN(*out, DecodeRequestPayload(payload.data(),
-                                                    payload.size(), context));
-  return true;
-}
-
-StatusOr<bool> ReadReplyFrame(std::istream& in, const std::string& context,
-                              ServeReply* out) {
-  std::vector<uint8_t> payload;
-  DSPOT_ASSIGN_OR_RETURN(bool have, ReadFrame(in, context, &payload));
-  if (!have) {
-    return false;
-  }
-  DSPOT_ASSIGN_OR_RETURN(*out, DecodeReplyPayload(payload.data(),
-                                                  payload.size(), context));
-  return true;
+  return Status::DataLoss(context_ + ": byte " +
+                          std::to_string(stream_offset()) + ": " +
+                          std::to_string(buffered()) +
+                          " trailing bytes form an incomplete frame");
 }
 
 }  // namespace dspot

@@ -2,7 +2,6 @@
 #define DSPOT_SERVE_PROTOCOL_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -13,14 +12,14 @@
 namespace dspot {
 
 /// The dspot_serve wire format: length-prefixed frames over a byte
-/// stream (the CLI speaks it on stdin/stdout; tests speak it over
-/// stringstreams).
+/// stream (stdin/stdout or a TCP connection).
 ///
 /// One frame = a little-endian u32 payload length followed by that many
-/// payload bytes. The payload reuses the snapshot codec's primitives
-/// (ByteWriter/ByteReader) and leads with a tag word so a reader can
-/// reject a stream of the wrong kind with a located error instead of
-/// misparsing it:
+/// payload bytes; AppendFrame is the one writer of that framing and
+/// FrameAssembler the one reader. The payload reuses the snapshot codec's
+/// primitives (ByteWriter/ByteReader) and leads with a tag word so a
+/// reader can reject a stream of the wrong kind with a located error
+/// instead of misparsing it:
 ///
 ///   request:  "DSRQ" id:u64 op:u32 keyword:str horizon:u64
 ///             deadline_ms:f64 values:u64+f64[]
@@ -52,21 +51,13 @@ inline constexpr size_t kServeMaxTenantBytes = 128;
 /// otherwise trigger a giant allocation).
 inline constexpr uint32_t kServeMaxFrameBytes = 64u << 20;
 
-/// Serializes one request/reply frame. IoError on stream failure.
-Status WriteRequestFrame(const ServeRequest& request, std::ostream& out);
-Status WriteReplyFrame(const ServeReply& reply, std::ostream& out);
+/// Appends one frame — the u32 length prefix, then `payload` — to `*out`.
+/// A payload over kServeMaxFrameBytes is InvalidArgument and appends
+/// nothing: no reader would accept the frame.
+Status AppendFrame(const std::vector<uint8_t>& payload,
+                   std::vector<uint8_t>* out);
 
-/// Reads one frame into `*out`. Returns false on clean EOF (the stream
-/// ended exactly on a frame boundary), true on success; located
-/// DataLoss/InvalidArgument on truncation, a bad tag, or impossible
-/// values. `context` labels errors (e.g. "stdin").
-StatusOr<bool> ReadRequestFrame(std::istream& in, const std::string& context,
-                                ServeRequest* out);
-StatusOr<bool> ReadReplyFrame(std::istream& in, const std::string& context,
-                              ServeReply* out);
-
-/// Payload-level codecs (exposed for tests; the frame functions add the
-/// length prefix).
+/// Payload-level codecs; AppendFrame adds the length prefix.
 std::vector<uint8_t> EncodeRequestPayload(const ServeRequest& request);
 std::vector<uint8_t> EncodeReplyPayload(const ServeReply& reply);
 StatusOr<ServeRequest> DecodeRequestPayload(const uint8_t* data, size_t size,
@@ -81,7 +72,6 @@ Status ValidateTenantName(const std::string& tenant);
 std::vector<uint8_t> EncodeHelloPayload(const std::string& tenant);
 StatusOr<std::string> DecodeHelloPayload(const uint8_t* data, size_t size,
                                          const std::string& context);
-Status WriteHelloFrame(const std::string& tenant, std::ostream& out);
 
 /// The leading tag word of a decoded payload (kServeRequestTag, ...);
 /// located DataLoss when the payload is shorter than a tag. Transports
@@ -111,6 +101,11 @@ class FrameAssembler {
   /// DataLoss: desynchronized (over-cap declared length); every later
   /// call returns the same error.
   StatusOr<bool> Next(std::vector<uint8_t>* payload);
+
+  /// Call at end of input. Ok when the stream ended on a frame boundary;
+  /// DataLoss "<context>: byte <N>: <K> trailing bytes form an incomplete
+  /// frame" when it ended inside one.
+  Status Finish() const;
 
   /// Bytes currently buffered (a partial frame, or zero at a boundary).
   size_t buffered() const { return buf_.size() - pos_; }

@@ -21,18 +21,6 @@ namespace {
 /// model would otherwise turn every residual into an infinite z-score.
 constexpr double kMinScoreRmse = 1e-9;
 
-/// The single-keyword parameter set SimulateGlobalInto expects, spanning
-/// `n_ticks` (which may exceed the fitted range for forecasting).
-ModelParamSet BuildSingleKeywordSet(const ServedModel& model, size_t n_ticks) {
-  ModelParamSet set;
-  set.global = {model.params};
-  set.shocks = model.shocks;
-  set.num_keywords = 1;
-  set.num_locations = 1;
-  set.num_ticks = n_ticks;
-  return set;
-}
-
 }  // namespace
 
 const char* ServeOpName(ServeOp op) {
@@ -357,7 +345,6 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
       model.fit_ticks = request.values.size();
       model.rmse = fit->rmse;
       model.cost_bits = fit->cost_bits;
-      model.health = fit->health;
       reply.status = registry_->Put(model);
       if (reply.status.ok()) {
         reply.rmse = fit->rmse;
@@ -401,7 +388,8 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
       }
       const size_t fit_ticks = static_cast<size_t>(model->fit_ticks);
       const size_t total = fit_ticks + static_cast<size_t>(request.horizon);
-      const ModelParamSet set = BuildSingleKeywordSet(*model, total);
+      const ModelParamSet set =
+          BuildSingleKeywordSet(model->params, model->shocks, total);
       std::vector<double> curve(total, 0.0);
       ScheduleCache cache;
       SimulateGlobalInto(set, 0, &cache, curve);
@@ -427,7 +415,8 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
       // past the fitted range score against the model's forecast, so a
       // fresh spike shows up immediately.
       const size_t n = request.values.size();
-      const ModelParamSet set = BuildSingleKeywordSet(*model, n);
+      const ModelParamSet set =
+          BuildSingleKeywordSet(model->params, model->shocks, n);
       std::vector<double> estimate(n, 0.0);
       ScheduleCache cache;
       SimulateGlobalInto(set, 0, &cache, estimate);

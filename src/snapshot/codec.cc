@@ -4,16 +4,26 @@
 
 namespace dspot {
 
+namespace {
+
+// Decode-time allocation guards for a keyword model (the checksum would
+// catch the corruption, but only after a bogus length prefix already
+// drove a huge allocation).
+constexpr uint64_t kMaxShocksPerKeyword = 1u << 16;
+constexpr uint64_t kMaxStrengthsPerShock = 1u << 24;
+
+}  // namespace
+
 void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const size_t at = bytes_.size();
+  bytes_.resize(at + 4);
+  StoreLe32(bytes_.data() + at, v);
 }
 
 void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const size_t at = bytes_.size();
+  bytes_.resize(at + 8);
+  StoreLe64(bytes_.data() + at, v);
 }
 
 void ByteWriter::PutDouble(double v) {
@@ -39,6 +49,39 @@ void ByteWriter::PutChecksummed(const std::vector<uint8_t>& payload) {
   PutU32(Crc32(payload.data(), payload.size()));
 }
 
+void ByteWriter::PutFileHeader(const char (&magic)[kFileMagicBytes],
+                               uint32_t version) {
+  PutBytes(magic, kFileMagicBytes);
+  PutU32(version);
+}
+
+void ByteWriter::PutKeywordModel(uint64_t fit_ticks,
+                                 const KeywordGlobalParams& params,
+                                 double cost_bits, double rmse,
+                                 const std::vector<Shock>& shocks) {
+  PutU64(fit_ticks);
+  PutDouble(params.population);
+  PutDouble(params.beta);
+  PutDouble(params.delta);
+  PutDouble(params.gamma);
+  PutDouble(params.i0);
+  PutDouble(params.growth_rate);
+  PutU64(params.growth_start);
+  PutDouble(cost_bits);
+  PutDouble(rmse);
+  PutU64(shocks.size());
+  for (const Shock& shock : shocks) {
+    PutU64(shock.period);
+    PutU64(shock.start);
+    PutU64(shock.width);
+    PutDouble(shock.base_strength);
+    PutU64(shock.global_strengths.size());
+    for (const double s : shock.global_strengths) {
+      PutDouble(s);
+    }
+  }
+}
+
 Status ByteReader::CorruptAt(const std::string& what) const {
   return Status::DataLoss(context_ + ": offset " + std::to_string(offset_) +
                           ": " + what);
@@ -54,10 +97,7 @@ StatusOr<uint32_t> ByteReader::GetU32() {
     return CorruptAt("truncated (need 4 bytes, have " +
                      std::to_string(remaining()) + ")");
   }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(data_[offset_ + i]) << (8 * i);
-  }
+  const uint32_t v = LoadLe32(data_ + offset_);
   offset_ += 4;
   return v;
 }
@@ -67,10 +107,7 @@ StatusOr<uint64_t> ByteReader::GetU64() {
     return CorruptAt("truncated (need 8 bytes, have " +
                      std::to_string(remaining()) + ")");
   }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(data_[offset_ + i]) << (8 * i);
-  }
+  const uint64_t v = LoadLe64(data_ + offset_);
   offset_ += 8;
   return v;
 }
@@ -123,6 +160,61 @@ StatusOr<std::span<const uint8_t>> ByteReader::GetChecksummed() {
                             std::to_string(crc) + ")");
   }
   return payload;
+}
+
+Status ByteReader::GetFileHeader(const char (&magic)[kFileMagicBytes],
+                                 uint32_t version, const char* what) {
+  if (remaining() < kFileMagicBytes ||
+      std::memcmp(data_ + offset_, magic, kFileMagicBytes) != 0) {
+    return Status::InvalidArgument(context_ + ": not a dspot " + what +
+                                   " (bad magic)");
+  }
+  offset_ += kFileMagicBytes;
+  DSPOT_ASSIGN_OR_RETURN(const uint32_t stored, GetU32());
+  if (stored != version) {
+    return Status::InvalidArgument(
+        context_ + ": unsupported " + what + " version " +
+        std::to_string(stored) + " (this build reads version " +
+        std::to_string(version) + ")");
+  }
+  return Status::Ok();
+}
+
+Status ByteReader::GetKeywordModel(uint64_t max_fit_ticks, uint64_t* fit_ticks,
+                                   KeywordGlobalParams* params,
+                                   double* cost_bits, double* rmse,
+                                   std::vector<Shock>* shocks) {
+  DSPOT_ASSIGN_OR_RETURN(*fit_ticks, GetCount(max_fit_ticks, "fit ticks"));
+  DSPOT_ASSIGN_OR_RETURN(params->population, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(params->beta, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(params->delta, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(params->gamma, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(params->i0, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(params->growth_rate, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(params->growth_start, GetU64());
+  DSPOT_ASSIGN_OR_RETURN(*cost_bits, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(*rmse, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(const uint64_t num_shocks,
+                         GetCount(kMaxShocksPerKeyword, "shock count"));
+  shocks->assign(num_shocks, Shock());
+  for (Shock& shock : *shocks) {
+    shock.keyword = 0;
+    DSPOT_ASSIGN_OR_RETURN(shock.period, GetU64());
+    DSPOT_ASSIGN_OR_RETURN(shock.start, GetU64());
+    DSPOT_ASSIGN_OR_RETURN(shock.width, GetU64());
+    if (shock.width == 0) {
+      return CorruptAt("shock width 0");
+    }
+    DSPOT_ASSIGN_OR_RETURN(shock.base_strength, GetDouble());
+    DSPOT_ASSIGN_OR_RETURN(
+        const uint64_t num_strengths,
+        GetCount(kMaxStrengthsPerShock, "strength count"));
+    shock.global_strengths.resize(num_strengths);
+    for (double& s : shock.global_strengths) {
+      DSPOT_ASSIGN_OR_RETURN(s, GetDouble());
+    }
+  }
+  return Status::Ok();
 }
 
 uint32_t Crc32(const uint8_t* data, size_t n) {

@@ -9,12 +9,47 @@
 
 #include "common/status.h"
 #include "common/statusor.h"
+#include "core/params.h"
 
 namespace dspot {
 
-/// Endian-stable primitives for the snapshot payload. Every multi-byte
-/// value is written little-endian byte by byte, so files are identical
-/// across hosts; doubles travel as their IEEE-754 bit pattern.
+/// Endian-stable primitives for every byte format the program writes:
+/// snapshot, stream-state and spill-log files, WAL frames and serve wire
+/// frames. Every multi-byte value is little-endian, so files are
+/// identical across hosts; doubles travel as their IEEE-754 bit pattern.
+
+/// Little-endian stores and loads at a raw pointer: the one place the
+/// byte order is spelled out. Allocation-free, for fixed-layout frames.
+inline void StoreLe32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+inline void StoreLe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+inline uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+inline uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+/// Length of a file magic; PutFileHeader follows it with a u32 version.
+inline constexpr size_t kFileMagicBytes = 8;
 
 /// Appends primitives to a growing byte buffer.
 class ByteWriter {
@@ -28,6 +63,15 @@ class ByteWriter {
   /// "u64 length | payload | u32 CRC-32 of the payload": the checksummed
   /// body of the snapshot, stream-state and checkpoint files.
   void PutChecksummed(const std::vector<uint8_t>& payload);
+  /// "magic | u32 version": the header every dspot file starts with.
+  void PutFileHeader(const char (&magic)[kFileMagicBytes], uint32_t version);
+  /// One keyword's fitted model: fit_ticks, the seven global parameters,
+  /// the cost in bits, the RMSE and the shocks (period, start, width,
+  /// base strength, global strengths). The stream state stores a fitted
+  /// keyword this way, and a spill-log record checksums one.
+  void PutKeywordModel(uint64_t fit_ticks, const KeywordGlobalParams& params,
+                       double cost_bits, double rmse,
+                       const std::vector<Shock>& shocks);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t>&& TakeBytes() { return std::move(bytes_); }
@@ -60,6 +104,20 @@ class ByteReader {
   /// copying it. A length that overruns the buffer, a missing trailer or a
   /// CRC mismatch is DataLoss.
   StatusOr<std::span<const uint8_t>> GetChecksummed();
+
+  /// Reads a PutFileHeader header. Another magic is InvalidArgument
+  /// "<context>: not a dspot <what> (bad magic)", another version is
+  /// InvalidArgument "<context>: unsupported <what> version <v> (this
+  /// build reads version <version>)".
+  Status GetFileHeader(const char (&magic)[kFileMagicBytes], uint32_t version,
+                       const char* what);
+
+  /// Reads a PutKeywordModel block. A fit_ticks above `max_fit_ticks`, an
+  /// over-cap shock or strength count and a zero shock width are
+  /// DataLoss. Shocks come back tagged keyword 0.
+  Status GetKeywordModel(uint64_t max_fit_ticks, uint64_t* fit_ticks,
+                         KeywordGlobalParams* params, double* cost_bits,
+                         double* rmse, std::vector<Shock>* shocks);
 
   size_t offset() const { return offset_; }
   size_t remaining() const { return size_ - offset_; }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -842,27 +841,15 @@ ModelSnapshot MakeSnapshot(const DspotResult& result,
 std::vector<uint8_t> EncodeSnapshotFile(const ModelSnapshot& snapshot) {
   const std::vector<uint8_t> payload = EncodeSnapshotPayload(snapshot);
   ByteWriter file;
-  file.PutBytes(kMagic, sizeof(kMagic));
-  file.PutU32(kSnapshotVersion);
+  file.PutFileHeader(kMagic, kSnapshotVersion);
   file.PutChecksummed(payload);
   return std::move(file).TakeBytes();
 }
 
 StatusOr<ModelSnapshot> DecodeSnapshotFile(const uint8_t* data, size_t size,
                                            const std::string& context) {
-  if (size < sizeof(kMagic) ||
-      std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(context +
-                                   ": not a dspot snapshot (bad magic)");
-  }
-  ByteReader r(data + sizeof(kMagic), size - sizeof(kMagic), context);
-  DSPOT_ASSIGN_OR_RETURN(uint32_t version, r.GetU32());
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument(
-        context + ": unsupported snapshot version " +
-        std::to_string(version) + " (this build reads version " +
-        std::to_string(kSnapshotVersion) + ")");
-  }
+  ByteReader r(data, size, context);
+  DSPOT_RETURN_IF_ERROR(r.GetFileHeader(kMagic, kSnapshotVersion, "snapshot"));
   DSPOT_ASSIGN_OR_RETURN(const std::span<const uint8_t> payload,
                          r.GetChecksummed());
   ByteReader payload_reader(payload.data(), payload.size(), context);
@@ -898,20 +885,7 @@ Status SaveSnapshot(const ModelSnapshot& snapshot, const std::string& path,
 
 StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path) {
   DSPOT_SPAN("snapshot.load");
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  // Read in chunks: sizing the buffer by seeking to the end would trust
-  // the length a directory (huge) or a /proc file (0) reports.
-  std::string bytes;
-  char chunk[16384];
-  while (is.read(chunk, sizeof(chunk)) || is.gcount() > 0) {
-    bytes.append(chunk, static_cast<size_t>(is.gcount()));
-  }
-  if (is.bad()) {
-    return Status::IoError("read failed: " + path);
-  }
+  DSPOT_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
   if (bytes.empty()) {
     return Status::InvalidArgument(path + ": empty file");
   }

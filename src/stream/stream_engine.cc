@@ -15,22 +15,6 @@ namespace dspot {
 
 namespace {
 
-/// Wraps one keyword's streaming model as a single-keyword ModelParamSet so
-/// the shared simulation kernel (and its ScheduleCache) can extrapolate it.
-/// All coordinates are fit-local: tick 0 is the keyword's fit_window_start.
-void BuildSingleKeywordSet(const KeywordGlobalParams& params,
-                           const std::vector<Shock>& shocks, size_t n_ticks,
-                           ModelParamSet* set) {
-  set->global.assign(1, params);
-  set->shocks = shocks;
-  for (Shock& shock : set->shocks) {
-    shock.keyword = 0;
-  }
-  set->num_keywords = 1;
-  set->num_locations = 1;
-  set->num_ticks = n_ticks;
-}
-
 /// Translates a fit-local shock inventory forward by `shift` ticks (the
 /// ring evicted that many ticks since the fit), dropping what fell off the
 /// window. One-shots keep only their still-visible tail; cyclic shocks drop
@@ -272,8 +256,8 @@ StreamEngine::Action StreamEngine::Triage(KeywordState* ks) const {
     // UpdateFit's residual-burst test over the retained window: extrapolate
     // the current model over the appended ticks and judge them against the
     // still-retained explained range.
-    ModelParamSet set;
-    BuildSingleKeywordSet(ks->params, ks->shocks, window_end, &set);
+    const ModelParamSet set =
+        BuildSingleKeywordSet(ks->params, ks->shocks, window_end);
     std::vector<double> estimate(window_end);
     SimulateGlobalInto(set, 0, &ks->cache, estimate);
     std::vector<double> window;
@@ -450,8 +434,8 @@ void StreamEngine::PublishForecast(KeywordState* ks,
   // tail past the fitted range.
   const size_t total = ks->fit_ticks + horizon;
   scratch->resize(total);
-  ModelParamSet set;
-  BuildSingleKeywordSet(ks->params, ks->shocks, ks->fit_ticks, &set);
+  const ModelParamSet set =
+      BuildSingleKeywordSet(ks->params, ks->shocks, ks->fit_ticks);
   SimulateGlobalInto(set, 0, &ks->cache, *scratch);
   const int64_t start_tick =
       ks->fit_window_start + static_cast<int64_t>(ks->fit_ticks);

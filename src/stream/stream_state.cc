@@ -1,9 +1,6 @@
 #include <algorithm>
 #include <bit>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,11 +21,6 @@ namespace {
 // length-prefixed payload, CRC-32 trailer.
 constexpr char kMagic[8] = {'D', 'S', 'P', 'O', 'T', 'C', 'K', 'P'};
 constexpr uint32_t kStateFileVersion = 1;
-
-// Decode-time allocation guards (the checksum would catch the corruption,
-// but only after a bogus length prefix already drove a huge allocation).
-constexpr uint64_t kMaxShocksPerKeyword = 1u << 16;
-constexpr uint64_t kMaxStrengthsPerShock = 1u << 24;
 
 }  // namespace
 
@@ -67,27 +59,8 @@ class StreamStateCodec {
       w.PutU32(ks.has_fit ? 1 : 0);
       if (ks.has_fit) {
         w.PutU64(static_cast<uint64_t>(ks.fit_window_start));
-        w.PutU64(ks.fit_ticks);
-        w.PutDouble(ks.params.population);
-        w.PutDouble(ks.params.beta);
-        w.PutDouble(ks.params.delta);
-        w.PutDouble(ks.params.gamma);
-        w.PutDouble(ks.params.i0);
-        w.PutDouble(ks.params.growth_rate);
-        w.PutU64(ks.params.growth_start);
-        w.PutDouble(ks.fit_cost_bits);
-        w.PutDouble(ks.fit_rmse);
-        w.PutU64(ks.shocks.size());
-        for (const Shock& shock : ks.shocks) {
-          w.PutU64(shock.period);
-          w.PutU64(shock.start);
-          w.PutU64(shock.width);
-          w.PutDouble(shock.base_strength);
-          w.PutU64(shock.global_strengths.size());
-          for (const double s : shock.global_strengths) {
-            w.PutDouble(s);
-          }
-        }
+        w.PutKeywordModel(ks.fit_ticks, ks.params, ks.fit_cost_bits,
+                          ks.fit_rmse, ks.shocks);
       }
       const StreamEngine::ForecastCell* cell =
           ks.forecast.load(std::memory_order_acquire);
@@ -207,40 +180,9 @@ class StreamStateCodec {
       if (ks.has_fit) {
         DSPOT_ASSIGN_OR_RETURN(const uint64_t fit_start, r->GetU64());
         ks.fit_window_start = static_cast<int64_t>(fit_start);
-        DSPOT_ASSIGN_OR_RETURN(
-            ks.fit_ticks,
-            r->GetCount(engine->options_.ring_capacity, "fit ticks"));
-        DSPOT_ASSIGN_OR_RETURN(ks.params.population, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(ks.params.beta, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(ks.params.delta, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(ks.params.gamma, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(ks.params.i0, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(ks.params.growth_rate, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(const uint64_t growth_start, r->GetU64());
-        ks.params.growth_start = static_cast<size_t>(growth_start);
-        DSPOT_ASSIGN_OR_RETURN(ks.fit_cost_bits, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(ks.fit_rmse, r->GetDouble());
-        DSPOT_ASSIGN_OR_RETURN(
-            const uint64_t num_shocks,
-            r->GetCount(kMaxShocksPerKeyword, "shock count"));
-        ks.shocks.resize(num_shocks);
-        for (Shock& shock : ks.shocks) {
-          shock.keyword = 0;
-          DSPOT_ASSIGN_OR_RETURN(shock.period, r->GetU64());
-          DSPOT_ASSIGN_OR_RETURN(shock.start, r->GetU64());
-          DSPOT_ASSIGN_OR_RETURN(shock.width, r->GetU64());
-          if (shock.width == 0) {
-            return r->CorruptAt("shock width 0");
-          }
-          DSPOT_ASSIGN_OR_RETURN(shock.base_strength, r->GetDouble());
-          DSPOT_ASSIGN_OR_RETURN(
-              const uint64_t num_strengths,
-              r->GetCount(kMaxStrengthsPerShock, "strength count"));
-          shock.global_strengths.resize(num_strengths);
-          for (double& s : shock.global_strengths) {
-            DSPOT_ASSIGN_OR_RETURN(s, r->GetDouble());
-          }
-        }
+        DSPOT_RETURN_IF_ERROR(r->GetKeywordModel(
+            engine->options_.ring_capacity, &ks.fit_ticks, &ks.params,
+            &ks.fit_cost_bits, &ks.fit_rmse, &ks.shocks));
       }
       DSPOT_ASSIGN_OR_RETURN(const uint32_t has_forecast, r->GetU32());
       if (has_forecast != 0) {
@@ -292,8 +234,7 @@ Status StreamEngine::SaveState(const std::string& path, uint64_t seq,
   DSPOT_SPAN("stream.save");
   const std::vector<uint8_t> payload = StreamStateCodec::Encode(*this);
   ByteWriter file;
-  file.PutBytes(kMagic, sizeof(kMagic));
-  file.PutU32(kStateFileVersion);
+  file.PutFileHeader(kMagic, kStateFileVersion);
   file.PutU64(seq);
   file.PutChecksummed(payload);
   // Atomic replacement: a crashed or failed save leaves any previous
@@ -308,30 +249,11 @@ Status StreamEngine::SaveState(const std::string& path, uint64_t seq,
 StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::LoadState(
     const std::string& path, const StreamOptions& runtime, uint64_t* seq) {
   DSPOT_SPAN("stream.load");
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  if (!is && !is.eof()) {
-    return Status::IoError("read failed: " + path);
-  }
-  const std::string bytes = buf.str();
-  if (bytes.size() < sizeof(kMagic) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path +
-                                   ": not a dspot stream state (bad magic)");
-  }
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  ByteReader r(data + sizeof(kMagic), bytes.size() - sizeof(kMagic), path);
-  DSPOT_ASSIGN_OR_RETURN(const uint32_t version, r.GetU32());
-  if (version != kStateFileVersion) {
-    return Status::InvalidArgument(
-        path + ": unsupported stream state version " +
-        std::to_string(version) + " (this build reads version " +
-        std::to_string(kStateFileVersion) + ")");
-  }
+  DSPOT_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+  ByteReader r(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size(),
+               path);
+  DSPOT_RETURN_IF_ERROR(
+      r.GetFileHeader(kMagic, kStateFileVersion, "stream state"));
   DSPOT_ASSIGN_OR_RETURN(const uint64_t stored_seq, r.GetU64());
   if (seq != nullptr) {
     *seq = stored_seq;

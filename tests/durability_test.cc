@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -450,6 +451,20 @@ TEST(Wal, SequenceGapIsDataLoss) {
   ASSERT_FALSE(scan.ok());
   EXPECT_EQ(scan.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(scan.status().message().find("gap"), std::string::npos)
+      << scan.status().ToString();
+}
+
+// A segment that cannot be read is an IoError, never an empty segment (or,
+// in the final segment, a torn tail that recovery would truncate).
+TEST(Wal, UnreadableSegmentIsIoError) {
+  const std::string dir = TempPath("wal_segment_dir");
+  std::filesystem::create_directories(dir);
+  auto scan = ReadWalSegment(dir, 1, /*allow_torn_tail=*/true);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kIoError)
+      << scan.status().ToString();
+  EXPECT_NE(scan.status().message().find("read failed: " + dir),
+            std::string::npos)
       << scan.status().ToString();
 }
 

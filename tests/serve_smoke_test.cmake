@@ -4,7 +4,10 @@
 # a deterministic request stream, serve it at 1 and at 8 worker threads,
 # and require the reply bytes to be identical — the CLI-level face of the
 # engine's determinism contract — then feed stdin broken frames, which
-# must fail with an error located at the byte where the frame starts.
+# must fail with an error located at the byte where the frame starts. The
+# reply decoder (--print-replies) must report a stream cut inside a frame
+# the same way, and a spill directory of an older log version must stop
+# the server at startup.
 #
 # Expects:
 #   -DDSPOT_SERVE=<path to the dspot_serve binary>
@@ -141,6 +144,38 @@ foreach(needle "reply id=0 " "status=OK" "total replies: 40")
   endif()
 endforeach()
 
+# A reply stream cut inside its last frame (a 16 MiB frame cut off after
+# its tag) prints the complete replies, then exits 1 naming the byte where
+# the cut frame starts and how many bytes it kept.
+file(SIZE "${WORK_DIR}/replies_1.bin" replies_size)
+execute_process(COMMAND ${CMAKE_COMMAND} -E cat "${WORK_DIR}/replies_1.bin"
+                        "${WORK_DIR}/cut.tail"
+                OUTPUT_FILE "${WORK_DIR}/replies_cut.bin"
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot assemble the cut reply stream")
+endif()
+execute_process(COMMAND "${DSPOT_SERVE}" --print-replies
+                INPUT_FILE "${WORK_DIR}/replies_cut.bin"
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "--print-replies on a cut stream: expected exit 1, "
+                      "got ${rc}:\n${err}")
+endif()
+set(cut_error
+    "stdin: byte ${replies_size}: 8 trailing bytes form an incomplete frame")
+if(NOT err MATCHES "${cut_error}")
+  message(FATAL_ERROR
+          "--print-replies on a cut stream: expected '${cut_error}', "
+          "got:\n${err}")
+endif()
+if(NOT out MATCHES "reply id=39 ")
+  message(FATAL_ERROR
+          "--print-replies on a cut stream lost complete replies:\n${out}")
+endif()
+
 # Feeding the decoder a REQUEST stream (wrong frame type) must surface
 # DataLoss, not decode garbage.
 execute_process(COMMAND "${DSPOT_SERVE}" --print-replies
@@ -154,6 +189,31 @@ endif()
 if(NOT err MATCHES "DataLoss")
   message(FATAL_ERROR
           "expected DataLoss decoding a request stream, got:\n${err}")
+endif()
+
+# --- Spill directory of an older version ------------------------------------
+# A version-1 spill log is refused at open: the server exits 1 naming both
+# versions instead of serving over records it cannot read.
+file(MAKE_DIRECTORY "${WORK_DIR}/spill_v1")
+execute_process(COMMAND printf "DSPOTRGL\\001\\000\\000\\000"
+                OUTPUT_FILE "${WORK_DIR}/spill_v1/models.dspotlog"
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cannot write the version-1 spill log")
+endif()
+file(WRITE "${WORK_DIR}/empty.bin" "")
+execute_process(COMMAND "${DSPOT_SERVE}" --spill-dir "${WORK_DIR}/spill_v1"
+                INPUT_FILE "${WORK_DIR}/empty.bin"
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "version-1 spill dir: expected exit 1, got ${rc}:\n${err}")
+endif()
+if(NOT err MATCHES
+   "unsupported spill log version 1 \\(this build reads version 2\\)")
+  message(FATAL_ERROR
+          "version-1 spill dir: expected a version error, got:\n${err}")
 endif()
 
 message(STATUS "serve smoke OK")

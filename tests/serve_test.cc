@@ -1,9 +1,9 @@
-// dspot_serve: the sharded LRU model registry (spill, reload, by-name
-// remap), the batching request engine (admission control, deadlines,
-// determinism), and the wire protocol. The concurrency tests run N client
-// threads against an evicting registry and hold the replies bit-identical
-// to a serial replay of the admitted request log — serving must never
-// trade correctness for parallelism.
+// dspot_serve: the sharded LRU model registry (spill, reload, torn tails,
+// compaction, log versions), the batching request engine (admission
+// control, deadlines, determinism), and the wire protocol. The concurrency
+// tests run N client threads against an evicting registry and hold the
+// replies bit-identical to a serial replay of the admitted request log —
+// serving must never trade correctness for parallelism.
 
 #include "serve/serve_engine.h"
 
@@ -23,7 +23,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +31,6 @@
 #include "guard/fault_injector.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
-#include "snapshot/snapshot.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -70,11 +68,11 @@ ServedModel MakeModel(const std::string& keyword, double seed) {
   return model;
 }
 
-/// Bit-level model equality via the canonical snapshot payload.
+/// Bit-level model equality via the spill record, which encodes every
+/// field of the model.
 ::testing::AssertionResult SameModelBits(const ServedModel& a,
                                          const ServedModel& b) {
-  if (EncodeSnapshotPayload(a.ToSnapshot()) ==
-      EncodeSnapshotPayload(b.ToSnapshot())) {
+  if (EncodeSpillRecord(a) == EncodeSpillRecord(b)) {
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure()
@@ -114,9 +112,7 @@ void FlipByte(const std::string& path, uint64_t offset) {
 
 /// The size of `model`'s spill-log record.
 uint64_t RecordBytes(const ServedModel& model) {
-  return EncodeSpillRecord(model.keyword,
-                           EncodeSnapshotFile(model.ToSnapshot()))
-      .size();
+  return EncodeSpillRecord(model).size();
 }
 
 /// A deterministic activity series for engine tests (short, so cold fits
@@ -290,73 +286,6 @@ TEST(ModelRegistry, CaseVariantKeywordsRoundTripIndependently) {
             std::vector<std::string>{kSpillLogName});
 }
 
-// Regression (PR 9): reloading a snapshot whose keyword set differs from
-// the requester's view must locate the keyword BY NAME. A planted or
-// reorganized record stores the same keyword under a different index;
-// trusting the stored index silently serves another keyword's model.
-TEST(ModelRegistry, ReloadRemapsKeywordIdsByNameNotByStoredIndex) {
-  RegistryOptions options;
-  options.spill_dir = TempDirFor("registry_remap");
-  { ModelRegistry creates_the_log(options); }
-
-  // A three-keyword batch snapshot where "target" sits at index 2 with
-  // distinctive parameters, planted as "target"'s record.
-  ModelSnapshot batch;
-  batch.params.num_keywords = 3;
-  batch.params.num_locations = 0;
-  batch.params.num_ticks = 64;
-  for (size_t i = 0; i < 3; ++i) {
-    KeywordGlobalParams p;
-    p.population = 100.0 * static_cast<double>(i + 1);
-    p.beta = 0.1 + 0.1 * static_cast<double>(i);
-    batch.params.global.push_back(p);
-    Shock shock;
-    shock.keyword = i;
-    shock.start = 5 + i;
-    shock.base_strength = static_cast<double>(i + 1);
-    shock.global_strengths = {shock.base_strength};
-    batch.params.shocks.push_back(shock);
-  }
-  batch.keywords = {"decoy0", "decoy1", "target"};
-  batch.global_rmse = {1.0, 2.0, 3.0};
-  AppendBytes(LogPathIn(options.spill_dir),
-              EncodeSpillRecord("target", EncodeSnapshotFile(batch)));
-
-  ModelRegistry registry(options);
-  auto got = registry.Get("target");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  // Index-2 parameters, not index-0's.
-  EXPECT_EQ(got->params.population, 300.0);
-  EXPECT_EQ(got->params.beta, 0.1 + 0.1 * 2.0);
-  EXPECT_EQ(got->rmse, 3.0);
-  // Only "target"'s shock came along, re-tagged into single-keyword
-  // coordinates.
-  ASSERT_EQ(got->shocks.size(), 1u);
-  EXPECT_EQ(got->shocks[0].keyword, 0u);
-  EXPECT_EQ(got->shocks[0].start, 7u);
-  EXPECT_EQ(got->shocks[0].base_strength, 3.0);
-}
-
-// A record filed under one keyword whose image holds another is corrupt:
-// DataLoss, not NotFound, which would read as "never Put" and let a refit
-// cold-start over it.
-TEST(ModelRegistry, ReloadRejectsSnapshotWithoutTheKeyword) {
-  RegistryOptions options;
-  options.spill_dir = TempDirFor("registry_wrong_keyword");
-  { ModelRegistry creates_the_log(options); }
-  AppendBytes(LogPathIn(options.spill_dir),
-              EncodeSpillRecord("wanted", EncodeSnapshotFile(
-                                              MakeModel("other", 1.0)
-                                                  .ToSnapshot())));
-  ModelRegistry registry(options);
-  auto got = registry.Get("wanted");
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(got.status().message().find("wanted"), std::string::npos);
-  EXPECT_NE(got.status().message().find(LogPathIn(options.spill_dir)),
-            std::string::npos);
-}
-
 TEST(ModelRegistry, ReloadSurfacesCorruptSpillAsDataLoss) {
   RegistryOptions options;
   options.num_shards = 1;
@@ -368,8 +297,8 @@ TEST(ModelRegistry, ReloadSurfacesCorruptSpillAsDataLoss) {
   ASSERT_TRUE(registry.Put(broken).ok());
   ASSERT_TRUE(registry.Put(evictor).ok());
   ASSERT_FALSE(registry.Resident("broken"));
-  // Flip one byte inside "broken"'s snapshot payload, behind the
-  // registry; the image CRC must catch it on reload.
+  // Flip one byte inside "broken"'s model payload, behind the registry;
+  // the body CRC must catch it on reload.
   const std::string log = LogPathIn(options.spill_dir);
   const uint64_t offset = std::filesystem::file_size(log) -
                           RecordBytes(evictor) - RecordBytes(broken);
@@ -426,8 +355,7 @@ TEST(ModelRegistry, TornTailIsTruncatedAtOpen) {
     ASSERT_TRUE(registry.Put(b).ok());
   }
   const uint64_t complete = std::filesystem::file_size(log);
-  const std::vector<uint8_t> record =
-      EncodeSpillRecord("c", EncodeSnapshotFile(c.ToSnapshot()));
+  const std::vector<uint8_t> record = EncodeSpillRecord(c);
   for (const size_t torn : {size_t{5}, size_t{12}, record.size() / 2,
                             record.size() - 1}) {
     AppendBytes(log, std::vector<uint8_t>(record.begin(),
@@ -635,6 +563,31 @@ TEST(ModelRegistry, SecondRegistryOnTheSameSpillDirIsRefused) {
   auto got = first.Get("a");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_TRUE(SameModelBits(MakeModel("a", 1.0), *got));
+}
+
+// A spill log of another version is refused at open, naming both
+// versions, and is left as it was. Version 1 records wrapped a whole
+// snapshot file; this build reads only version 2.
+TEST(ModelRegistry, VersionOneSpillLogIsRefusedAtOpen) {
+  RegistryOptions options;
+  options.spill_dir = TempDirFor("registry_version_one");
+  const std::string log = LogPathIn(options.spill_dir);
+  std::vector<uint8_t> bytes = {'D', 'S', 'P', 'O', 'T', 'R', 'G', 'L',
+                                1,   0,   0,   0};
+  const std::vector<uint8_t> record = EncodeSpillRecord(MakeModel("a", 1.0));
+  bytes.insert(bytes.end(), record.begin(), record.end());
+  AppendBytes(log, bytes);
+  ModelRegistry registry(options);
+  const Status& status = registry.open_status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find(log + ": unsupported spill log version 1 "
+                                        "(this build reads version 2)"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(registry.Put(MakeModel("b", 2.0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Get("a").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(std::filesystem::file_size(log), bytes.size());
 }
 
 // Regression (review): Put appends under the shard lock, so a concurrent
@@ -1438,6 +1391,13 @@ TEST(ServeEngine, ConcurrentMixedWorkloadMatchesSerialReplay) {
 // ---------------------------------------------------------------------------
 // Wire protocol
 
+/// One frame holding `payload`, as AppendFrame writes it.
+std::vector<uint8_t> FrameOf(const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> frame;
+  EXPECT_TRUE(AppendFrame(payload, &frame).ok());
+  return frame;
+}
+
 TEST(ServeProtocol, RequestFrameRoundTrips) {
   ServeRequest request;
   request.id = 77;
@@ -1446,22 +1406,26 @@ TEST(ServeProtocol, RequestFrameRoundTrips) {
   request.values = {1.5, 2.5, -3.25};
   request.horizon = 9;
   request.deadline_ms = 125.0;
-  std::stringstream stream;
-  ASSERT_TRUE(WriteRequestFrame(request, stream).ok());
-  ServeRequest decoded;
-  auto have = ReadRequestFrame(stream, "test", &decoded);
+  const std::vector<uint8_t> frame = FrameOf(EncodeRequestPayload(request));
+  FrameAssembler assembler("test");
+  assembler.Append(frame.data(), frame.size());
+  std::vector<uint8_t> payload;
+  auto have = assembler.Next(&payload);
   ASSERT_TRUE(have.ok()) << have.status().ToString();
   ASSERT_TRUE(*have);
-  EXPECT_EQ(decoded.id, request.id);
-  EXPECT_EQ(decoded.op, request.op);
-  EXPECT_EQ(decoded.keyword, request.keyword);
-  EXPECT_EQ(decoded.values, request.values);
-  EXPECT_EQ(decoded.horizon, request.horizon);
-  EXPECT_EQ(decoded.deadline_ms, request.deadline_ms);
-  // And the stream ends with a clean EOF, not an error.
-  auto eof = ReadRequestFrame(stream, "test", &decoded);
-  ASSERT_TRUE(eof.ok()) << eof.status().ToString();
-  EXPECT_FALSE(*eof);
+  auto decoded = DecodeRequestPayload(payload.data(), payload.size(), "test");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->id, request.id);
+  EXPECT_EQ(decoded->op, request.op);
+  EXPECT_EQ(decoded->keyword, request.keyword);
+  EXPECT_EQ(decoded->values, request.values);
+  EXPECT_EQ(decoded->horizon, request.horizon);
+  EXPECT_EQ(decoded->deadline_ms, request.deadline_ms);
+  // And the stream ends on a frame boundary, not inside a frame.
+  auto more = assembler.Next(&payload);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_FALSE(*more);
+  EXPECT_TRUE(assembler.Finish().ok()) << assembler.Finish().ToString();
 }
 
 TEST(ServeProtocol, ReplyFrameRoundTripsIncludingErrorStatus) {
@@ -1471,18 +1435,22 @@ TEST(ServeProtocol, ReplyFrameRoundTripsIncludingErrorStatus) {
   reply.values = {0.25, 0.75};
   reply.rmse = 1.5;
   reply.cost_bits = 99.0;
-  std::stringstream stream;
-  ASSERT_TRUE(WriteReplyFrame(reply, stream).ok());
-  ServeReply decoded;
-  auto have = ReadReplyFrame(stream, "test", &decoded);
+  const std::vector<uint8_t> frame = FrameOf(EncodeReplyPayload(reply));
+  FrameAssembler assembler("test");
+  assembler.Append(frame.data(), frame.size());
+  std::vector<uint8_t> payload;
+  auto have = assembler.Next(&payload);
   ASSERT_TRUE(have.ok()) << have.status().ToString();
   ASSERT_TRUE(*have);
-  EXPECT_EQ(decoded.id, reply.id);
-  EXPECT_EQ(decoded.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(decoded.status.message(), "queue full");
-  EXPECT_EQ(decoded.values, reply.values);
-  EXPECT_EQ(decoded.rmse, reply.rmse);
-  EXPECT_EQ(decoded.cost_bits, reply.cost_bits);
+  auto decoded = DecodeReplyPayload(payload.data(), payload.size(), "test");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->id, reply.id);
+  EXPECT_EQ(decoded->status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(decoded->status.message(), "queue full");
+  EXPECT_EQ(decoded->values, reply.values);
+  EXPECT_EQ(decoded->rmse, reply.rmse);
+  EXPECT_EQ(decoded->cost_bits, reply.cost_bits);
+  EXPECT_TRUE(assembler.Finish().ok()) << assembler.Finish().ToString();
 }
 
 TEST(ServeProtocol, RejectsTruncatedAndHostileFrames) {
@@ -1491,44 +1459,44 @@ TEST(ServeProtocol, RejectsTruncatedAndHostileFrames) {
   request.op = ServeOp::kForecast;
   request.keyword = "x";
   request.horizon = 2;
-  std::stringstream good;
-  ASSERT_TRUE(WriteRequestFrame(request, good).ok());
-  const std::string bytes = good.str();
+  const std::vector<uint8_t> bytes = FrameOf(EncodeRequestPayload(request));
+  std::vector<uint8_t> payload;
 
-  // Truncated payload.
-  {
-    std::stringstream truncated(bytes.substr(0, bytes.size() - 3));
-    ServeRequest out;
-    auto have = ReadRequestFrame(truncated, "test", &out);
-    ASSERT_FALSE(have.ok());
-    EXPECT_EQ(have.status().code(), StatusCode::kDataLoss);
+  // Truncated payload, then a truncated length prefix: the assembler waits
+  // for more bytes, and end of input there is a located DataLoss.
+  for (const size_t keep : {bytes.size() - 3, size_t{2}}) {
+    FrameAssembler assembler("test");
+    assembler.Append(bytes.data(), keep);
+    auto have = assembler.Next(&payload);
+    ASSERT_TRUE(have.ok()) << have.status().ToString();
+    EXPECT_FALSE(*have);
+    const Status end = assembler.Finish();
+    EXPECT_EQ(end.code(), StatusCode::kDataLoss) << end.ToString();
+    EXPECT_NE(end.message().find("test: byte 0: " + std::to_string(keep) +
+                                 " trailing bytes form an incomplete frame"),
+              std::string::npos)
+        << end.ToString();
   }
-  // Truncated length prefix.
-  {
-    std::stringstream truncated(bytes.substr(0, 2));
-    ServeRequest out;
-    auto have = ReadRequestFrame(truncated, "test", &out);
-    ASSERT_FALSE(have.ok());
-    EXPECT_EQ(have.status().code(), StatusCode::kDataLoss);
-  }
-  // A reply frame fed to the request reader trips the tag check.
+  // A reply frame fed to the request decoder trips the tag check.
   {
     ServeReply reply;
     reply.id = 1;
-    std::stringstream wrong_kind;
-    ASSERT_TRUE(WriteReplyFrame(reply, wrong_kind).ok());
-    ServeRequest out;
-    auto have = ReadRequestFrame(wrong_kind, "test", &out);
-    ASSERT_FALSE(have.ok());
-    EXPECT_EQ(have.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(have.status().message().find("tag"), std::string::npos);
+    const std::vector<uint8_t> wrong_kind = FrameOf(EncodeReplyPayload(reply));
+    FrameAssembler assembler("test");
+    assembler.Append(wrong_kind.data(), wrong_kind.size());
+    auto have = assembler.Next(&payload);
+    ASSERT_TRUE(have.ok() && *have) << have.status().ToString();
+    auto decoded = DecodeRequestPayload(payload.data(), payload.size(), "test");
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(decoded.status().message().find("tag"), std::string::npos);
   }
   // A declared frame length beyond the cap is rejected before allocating.
   {
-    std::string huge(4, '\xFF');
-    std::stringstream hostile(huge);
-    ServeRequest out;
-    auto have = ReadRequestFrame(hostile, "test", &out);
+    const std::vector<uint8_t> hostile(4, 0xFF);
+    FrameAssembler assembler("test");
+    assembler.Append(hostile.data(), hostile.size());
+    auto have = assembler.Next(&payload);
     ASSERT_FALSE(have.ok());
     EXPECT_EQ(have.status().code(), StatusCode::kDataLoss);
     EXPECT_NE(have.status().message().find("cap"), std::string::npos);
@@ -1537,12 +1505,14 @@ TEST(ServeProtocol, RejectsTruncatedAndHostileFrames) {
   {
     ServeRequest bad_op = request;
     bad_op.op = static_cast<ServeOp>(99);
-    std::stringstream stream;
-    ASSERT_TRUE(WriteRequestFrame(bad_op, stream).ok());
-    ServeRequest out;
-    auto have = ReadRequestFrame(stream, "test", &out);
-    ASSERT_FALSE(have.ok());
-    EXPECT_EQ(have.status().code(), StatusCode::kInvalidArgument);
+    const std::vector<uint8_t> frame = FrameOf(EncodeRequestPayload(bad_op));
+    FrameAssembler assembler("test");
+    assembler.Append(frame.data(), frame.size());
+    auto have = assembler.Next(&payload);
+    ASSERT_TRUE(have.ok() && *have) << have.status().ToString();
+    auto decoded = DecodeRequestPayload(payload.data(), payload.size(), "test");
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -1554,13 +1524,14 @@ TEST(ServeProtocol, WriteFrameRejectsPayloadOverCap) {
   ServeReply reply;
   reply.id = 5;
   reply.values.assign(kServeMaxFrameBytes / 8 + 1, 0.5);
-  std::stringstream stream;
-  const Status status = WriteReplyFrame(reply, stream);
+  std::vector<uint8_t> buffer = FrameOf(EncodeReplyPayload(ServeReply()));
+  const std::vector<uint8_t> before = buffer;
+  const Status status = AppendFrame(EncodeReplyPayload(reply), &buffer);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("cap"), std::string::npos);
-  // Nothing hit the stream: a rejected frame leaves no partial bytes.
-  EXPECT_TRUE(stream.str().empty());
+  // Nothing reached the buffer: a rejected frame leaves no partial bytes.
+  EXPECT_EQ(buffer, before);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -433,6 +434,20 @@ TEST(Stream, LoadStateReportsMissingFile) {
   auto loaded = StreamEngine::LoadState(TempPath("no_such.state"));
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+// A directory opens but cannot be read. The failed read is an IoError, not
+// an empty or foreign file.
+TEST(Stream, LoadStateOfADirectoryIsIoError) {
+  const std::string dir = TempPath("state_dir");
+  std::filesystem::create_directories(dir);
+  auto loaded = StreamEngine::LoadState(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("read failed: " + dir),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(Stream, LoadStateRejectsForeignMagic) {

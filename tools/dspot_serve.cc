@@ -31,7 +31,8 @@
 //     [--tenant NAME]            send a tenant handshake first
 //   --gen-requests N   generate a deterministic request stream on stdout
 //     [--gen-keywords K] [--gen-ticks T] [--gen-horizon H] [--seed S]
-//   --print-replies    decode reply frames on stdin to readable text
+//   --print-replies    decode reply frames on stdin to readable text; a
+//                      stream that ends inside a frame exits 1
 //
 // Both serve modes run NetServer's event loop (src/serve/net_server.h):
 // stdin/stdout is one more connection of it, so the two transports read,
@@ -151,6 +152,18 @@ int GenerateRequests(const Flags& flags) {
       !flags.ParseInt("--seed", 42, 0, kMax, &seed)) {
     return 1;
   }
+  std::vector<uint8_t> frame;
+  const auto emit = [&frame](const ServeRequest& request) {
+    frame.clear();
+    const Status status = AppendFrame(EncodeRequestPayload(request), &frame);
+    if (!status.ok()) {
+      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
+      return false;
+    }
+    std::cout.write(reinterpret_cast<const char*>(frame.data()),
+                    static_cast<std::streamsize>(frame.size()));
+    return true;
+  };
   uint64_t state = static_cast<uint64_t>(seed) ^ 0x9E3779B97F4A7C15ull;
   uint64_t id = 0;
   // One cold fit per keyword first, so every later request has a model.
@@ -162,9 +175,7 @@ int GenerateRequests(const Flags& flags) {
     request.values = SyntheticSeries(static_cast<uint64_t>(seed),
                                      static_cast<uint64_t>(kw),
                                      static_cast<size_t>(ticks));
-    Status status = WriteRequestFrame(request, std::cout);
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
+    if (!emit(request)) {
       return 1;
     }
   }
@@ -188,9 +199,7 @@ int GenerateRequests(const Flags& flags) {
       request.values = SyntheticSeries(static_cast<uint64_t>(seed), kw,
                                        static_cast<size_t>(ticks + 8));
     }
-    Status status = WriteRequestFrame(request, std::cout);
-    if (!status.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
+    if (!emit(request)) {
       return 1;
     }
   }
@@ -198,33 +207,47 @@ int GenerateRequests(const Flags& flags) {
   return std::cout ? 0 : 1;
 }
 
-int PrintReplies() {
-  ServeReply reply;
-  uint64_t count = 0;
-  for (;;) {
-    StatusOr<bool> have = ReadReplyFrame(std::cin, "stdin", &reply);
-    if (!have.ok()) {
-      std::fprintf(stderr, "dspot_serve: %s\n",
-                   have.status().ToString().c_str());
-      return 1;
-    }
-    if (!*have) {
-      break;
-    }
-    ++count;
-    std::printf("reply id=%" PRIu64 " status=%s values=%zu rmse=%.6g",
-                reply.id, StatusCodeName(reply.status.code()),
-                reply.values.size(), reply.rmse);
-    if (!reply.values.empty()) {
-      std::printf(" first=%.6g", reply.values.front());
-    }
-    if (!reply.status.ok()) {
-      std::printf(" message=\"%s\"", reply.status.message().c_str());
-    }
-    std::printf("\n");
+/// Prints one decoded reply frame as a text line.
+Status PrintReply(const std::vector<uint8_t>& payload) {
+  DSPOT_ASSIGN_OR_RETURN(
+      const ServeReply reply,
+      DecodeReplyPayload(payload.data(), payload.size(), "stdin"));
+  std::printf("reply id=%" PRIu64 " status=%s values=%zu rmse=%.6g",
+              reply.id, StatusCodeName(reply.status.code()),
+              reply.values.size(), reply.rmse);
+  if (!reply.values.empty()) {
+    std::printf(" first=%.6g", reply.values.front());
   }
-  std::printf("total replies: %" PRIu64 "\n", count);
-  return 0;
+  if (!reply.status.ok()) {
+    std::printf(" message=\"%s\"", reply.status.message().c_str());
+  }
+  std::printf("\n");
+  return Status::Ok();
+}
+
+/// --print-replies: decodes the reply frames on stdin.
+Status PrintReplies(uint64_t* count) {
+  FrameAssembler assembler("stdin");
+  std::vector<uint8_t> payload;
+  std::vector<uint8_t> buf(size_t{64} << 10);
+  for (;;) {
+    const ssize_t n = ::read(STDIN_FILENO, buf.data(), buf.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string("stdin: read: ") +
+                             std::strerror(errno));
+    }
+    if (n == 0) {
+      return assembler.Finish();
+    }
+    assembler.Append(buf.data(), static_cast<size_t>(n));
+    for (;;) {
+      DSPOT_ASSIGN_OR_RETURN(const bool have, assembler.Next(&payload));
+      if (!have) break;
+      DSPOT_RETURN_IF_ERROR(PrintReply(payload));
+      ++*count;
+    }
+  }
 }
 
 int Serve(const Flags& flags) {
@@ -451,15 +474,10 @@ int Connect(const Flags& flags) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   if (!tenant.empty()) {
-    const std::vector<uint8_t> payload = EncodeHelloPayload(tenant);
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    const uint8_t prefix[4] = {
-        static_cast<uint8_t>(len & 0xFF),
-        static_cast<uint8_t>((len >> 8) & 0xFF),
-        static_cast<uint8_t>((len >> 16) & 0xFF),
-        static_cast<uint8_t>((len >> 24) & 0xFF)};
-    if (!SendAll(fd, prefix, sizeof(prefix), /*is_socket=*/true) ||
-        !SendAll(fd, payload.data(), payload.size(), /*is_socket=*/true)) {
+    // The tenant name was validated above, so the frame is under the cap.
+    std::vector<uint8_t> hello;
+    (void)AppendFrame(EncodeHelloPayload(tenant), &hello);
+    if (!SendAll(fd, hello.data(), hello.size(), /*is_socket=*/true)) {
       std::fprintf(stderr, "dspot_serve: handshake send: %s\n",
                    std::strerror(errno));
       ::close(fd);
@@ -550,7 +568,14 @@ int Main(int argc, char** argv) {
     return GenerateRequests(flags);
   }
   if (flags.Has("--print-replies")) {
-    return PrintReplies();
+    uint64_t count = 0;
+    const Status status = PrintReplies(&count);
+    if (!status.ok()) {
+      std::fprintf(stderr, "dspot_serve: %s\n", status.ToString().c_str());
+      return 1;
+    }
+    std::printf("total replies: %" PRIu64 "\n", count);
+    return 0;
   }
   if (flags.Has("--connect")) {
     return Connect(flags);
