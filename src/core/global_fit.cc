@@ -809,6 +809,7 @@ StatusOr<GlobalSequenceFit> RunAlternation(FitState state,
   GlobalSequenceFit fit;
   fit.params = best_state.params;
   fit.shocks = best_state.shocks;
+  fit.fit_ticks = best_state.n;
   fit.estimate = SimulateStateSeries(best_state, scratch);
   fit.cost_bits = best_cost;
   fit.rmse = Rmse(best_state.data, fit.estimate);
@@ -849,12 +850,12 @@ StatusOr<GlobalSequenceFit> FitGlobalSequence(const Series& data,
 
 StatusOr<GlobalSequenceFit> RefitGlobalSequence(
     const Series& data, size_t keyword, size_t num_keywords,
-    const GlobalSequenceFit& previous, const GlobalFitOptions& options) {
+    const KeywordModel& previous, const GlobalFitOptions& options) {
   if (data.observed_count() < 16) {
     return Status::InvalidArgument(
         "RefitGlobalSequence: need at least 16 observations");
   }
-  if (data.size() < previous.estimate.size()) {
+  if (data.size() < previous.fit_ticks) {
     return Status::InvalidArgument(
         "RefitGlobalSequence: data shorter than the previous fit");
   }
@@ -918,15 +919,9 @@ StatusOr<ModelParamSet> GlobalFit(const ActivityTensor& tensor,
             const ModelParamSet* warm = options.warm_start;
             if (warm != nullptr && i < warm->global.size()) {
               DSPOT_COUNT("global_fit.warm_starts", 1);
-              GlobalSequenceFit previous;
-              previous.params = warm->global[i];
-              for (const Shock& shock : warm->shocks) {
-                if (shock.keyword == i) previous.shocks.push_back(shock);
-              }
-              previous.estimate = Series(warm->num_ticks);
               return RefitGlobalSequence(tensor.GlobalSequence(i), i,
-                                         params.num_keywords, previous,
-                                         options);
+                                         params.num_keywords,
+                                         warm->KeywordModelFor(i), options);
             }
             DSPOT_COUNT("global_fit.cold_starts", 1);
             return FitGlobalSequence(tensor.GlobalSequence(i), i,

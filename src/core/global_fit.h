@@ -91,13 +91,11 @@ struct GlobalFitOptions {
   const ModelParamSet* warm_start = nullptr;
 };
 
-/// Result of fitting one global sequence.
-struct GlobalSequenceFit {
-  KeywordGlobalParams params;
-  std::vector<Shock> shocks;  ///< keyword field already set
-  Series estimate;            ///< fitted I(t) over the training range
-  double cost_bits = 0.0;     ///< per-keyword MDL total
-  double rmse = 0.0;
+/// Result of fitting one global sequence: the keyword's model (fit_ticks
+/// is the sequence length, shocks carry the fit's keyword) plus what only
+/// the fit itself knows.
+struct GlobalSequenceFit : KeywordModel {
+  Series estimate;  ///< fitted I(t) over the training range
   /// Rounds run, LM divergence restarts taken, wall time, and why the
   /// alternation stopped (kDeadlineExceeded marks a partial fit).
   FitHealth health;
@@ -109,15 +107,16 @@ StatusOr<GlobalSequenceFit> FitGlobalSequence(
     const Series& data, size_t keyword, size_t num_keywords,
     const GlobalFitOptions& options = GlobalFitOptions());
 
-/// Incremental (streaming) refit: given a fit of a prefix of `data` and
-/// the now-longer sequence, warm-starts from the previous parameters —
-/// cyclic shocks are extended with fresh occurrences at their shared
-/// strength — and runs a short alternation. Much cheaper than a cold fit
-/// and stable across updates; new events in the appended range are still
-/// detected.
+/// Incremental (streaming) refit: given a model of a prefix of `data`
+/// (its first `previous.fit_ticks` ticks; InvalidArgument if `data` is
+/// shorter) and the now-longer sequence, warm-starts from the previous
+/// parameters — cyclic shocks are extended with fresh occurrences at
+/// their shared strength — and runs a short alternation. Much cheaper
+/// than a cold fit and stable across updates; new events in the appended
+/// range are still detected.
 StatusOr<GlobalSequenceFit> RefitGlobalSequence(
     const Series& data, size_t keyword, size_t num_keywords,
-    const GlobalSequenceFit& previous,
+    const KeywordModel& previous,
     const GlobalFitOptions& options = GlobalFitOptions());
 
 /// Runs GLOBALFIT over every keyword of the tensor and assembles the

@@ -22,6 +22,16 @@ size_t ModelParamSet::ShockCountFor(size_t keyword) const {
   return count;
 }
 
+KeywordModel ModelParamSet::KeywordModelFor(size_t keyword) const {
+  KeywordModel model;
+  model.params = global[keyword];
+  for (const Shock& shock : shocks) {
+    if (shock.keyword == keyword) model.shocks.push_back(shock);
+  }
+  model.fit_ticks = num_ticks;
+  return model;
+}
+
 std::string ModelParamSet::ToString() const {
   std::ostringstream os;
   os << "ModelParamSet(d=" << num_keywords << ", l=" << num_locations

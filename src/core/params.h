@@ -2,6 +2,7 @@
 #define DSPOT_CORE_PARAMS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,19 @@ struct KeywordGlobalParams {
   size_t growth_start = kNpos; ///< t_eta_i
 
   bool has_growth() const { return growth_start != kNpos; }
+};
+
+/// One keyword's fitted model in fit-local ticks (tick 0 is the first
+/// fitted tick). Fits return it, the stream and the serve registry hold
+/// it, the keyword-model codec writes it, warm refits seed from it and
+/// SimulateKeywordInto forecasts with it.
+struct KeywordModel {
+  KeywordGlobalParams params;
+  /// Tagged with the keyword the fit ran as: 0 outside a multi-keyword fit.
+  std::vector<Shock> shocks;
+  uint64_t fit_ticks = 0;  ///< length of the fitted range
+  double cost_bits = 0.0;  ///< per-keyword MDL total
+  double rmse = 0.0;
 };
 
 /// The complete Δ-SPOT parameter set F = {B_G, B_L, R_G, R_L, S}
@@ -57,6 +71,10 @@ struct ModelParamSet {
 
   /// Number of shocks of keyword i.
   size_t ShockCountFor(size_t keyword) const;
+
+  /// Keyword i's warm-start seed: its parameters and shocks, with
+  /// fit_ticks = num_ticks (cost and RMSE stay 0; a refit reads neither).
+  KeywordModel KeywordModelFor(size_t keyword) const;
 
   /// True once LocalFit has populated the local matrices.
   bool has_local() const { return !base_local.empty(); }

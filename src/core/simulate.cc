@@ -78,19 +78,18 @@ Series SimulateGlobal(const ModelParamSet& params, size_t keyword,
   return out;
 }
 
-ModelParamSet BuildSingleKeywordSet(const KeywordGlobalParams& params,
-                                    const std::vector<Shock>& shocks,
-                                    size_t n_ticks) {
+void SimulateKeywordInto(const KeywordModel& model, ScheduleCache* cache,
+                         std::span<double> out) {
   ModelParamSet set;
-  set.global = {params};
-  set.shocks = shocks;
+  set.global = {model.params};
+  set.shocks = model.shocks;
   for (Shock& shock : set.shocks) {
     shock.keyword = 0;
   }
   set.num_keywords = 1;
   set.num_locations = 1;
-  set.num_ticks = n_ticks;
-  return set;
+  set.num_ticks = out.size();
+  SimulateGlobalInto(set, 0, cache, out);
 }
 
 void SimulateGlobalInto(const ModelParamSet& params, size_t keyword,

@@ -83,13 +83,13 @@ Series SimulateGlobal(const ModelParamSet& params, size_t keyword,
 void SimulateGlobalInto(const ModelParamSet& params, size_t keyword,
                         ScheduleCache* cache, std::span<double> out);
 
-/// The one-keyword ModelParamSet that SimulateGlobalInto(set, 0, ...)
-/// extrapolates — one keyword's fitted model outside a fit: `params` and
-/// `shocks` (re-tagged keyword 0) over `n_ticks` ticks, which may run past
-/// the fitted range.
-ModelParamSet BuildSingleKeywordSet(const KeywordGlobalParams& params,
-                                    const std::vector<Shock>& shocks,
-                                    size_t n_ticks);
+/// Runs one keyword's model over out.size() ticks, which may pass its
+/// fitted range: SimulateGlobalInto on the one-keyword set of `model`
+/// (shocks re-tagged keyword 0). Served forecasts and outlier scores,
+/// stream triage and stream forecasts all simulate through it, so they
+/// agree bit for bit with ForecastGlobal on the same parameters.
+void SimulateKeywordInto(const KeywordModel& model, ScheduleCache* cache,
+                         std::span<double> out);
 
 /// Simulates the local-level sequence of (keyword, location). Requires
 /// `params.has_local()`; falls back to a population share of 1/l of the

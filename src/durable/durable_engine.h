@@ -64,7 +64,7 @@ struct DurableOptions {
   /// Retry-with-backoff for transient write failures.
   RetryPolicy retry;
   /// Engine options. On recovery the semantic knobs (tick bucketing, ring
-  /// capacity, triage thresholds) come from the checkpoint — this field
+  /// capacity, fit and refit cadence) come from the checkpoint — this field
   /// then supplies only the runtime knobs (threads, budgets, fit
   /// options), exactly like StreamEngine::LoadState.
   StreamOptions stream;

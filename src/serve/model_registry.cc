@@ -15,7 +15,6 @@
 #include "guard/fault_injector.h"
 #include "obs/metrics.h"
 #include "snapshot/codec.h"
-#include "timeseries/series.h"
 
 namespace dspot {
 
@@ -139,8 +138,7 @@ StatusOr<UniqueFd> OpenLocked(const std::string& path) {
 
 std::vector<uint8_t> EncodeSpillRecord(const ServedModel& model) {
   ByteWriter payload;
-  payload.PutKeywordModel(model.fit_ticks, model.params, model.cost_bits,
-                          model.rmse, model.shocks);
+  payload.PutKeywordModel(model);
   ByteWriter record;
   record.PutU32(static_cast<uint32_t>(model.keyword.size()));
   // The body: u64 payload length, payload, u32 CRC.
@@ -350,9 +348,8 @@ StatusOr<ServedModel> ModelRegistry::SpillLog::Load(
   ByteReader r(payload.data(), payload.size(), context);
   ServedModel model;
   model.keyword = std::string(keyword);
-  DSPOT_RETURN_IF_ERROR(r.GetKeywordModel(
-      std::numeric_limits<uint64_t>::max(), &model.fit_ticks, &model.params,
-      &model.cost_bits, &model.rmse, &model.shocks));
+  DSPOT_RETURN_IF_ERROR(
+      r.GetKeywordModel(std::numeric_limits<uint64_t>::max(), &model));
   if (r.remaining() != 0 || body_reader.remaining() != 0) {
     return r.CorruptAt("trailing bytes after the keyword model");
   }
@@ -448,18 +445,6 @@ uint64_t ServedModel::ResidentBytes() const {
                  sizeof(double);
   }
   return bytes;
-}
-
-GlobalSequenceFit ServedModel::ToWarmStart() const {
-  GlobalSequenceFit fit;
-  fit.params = params;
-  fit.shocks = shocks;
-  // RefitGlobalSequence only reads the estimate's LENGTH (the fitted prefix
-  // size); the values are re-derived by simulation.
-  fit.estimate = Series(static_cast<size_t>(fit_ticks));
-  fit.cost_bits = cost_bits;
-  fit.rmse = rmse;
-  return fit;
 }
 
 ModelRegistry::ModelRegistry(const RegistryOptions& options)

@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "common/statusor.h"
-#include "core/global_fit.h"
 #include "core/params.h"
 
 namespace dspot {
@@ -70,23 +69,14 @@ struct RegistryOptions {
   bool durable_spill = false;
 };
 
-/// One keyword's servable model — the global SIV parameters plus the
-/// shock inventory, in fit-local coordinates (tick 0 = first fitted
-/// tick). Round-trips bit-exactly through its spill record.
-struct ServedModel {
+/// One keyword's servable model: the keyword and its KeywordModel, whose
+/// shocks are tagged keyword 0. A refit seeds from it as it is, and it
+/// round-trips bit-exactly through its spill record.
+struct ServedModel : KeywordModel {
   std::string keyword;
-  KeywordGlobalParams params;
-  std::vector<Shock> shocks;  ///< shock.keyword == 0 (single-keyword set)
-  uint64_t fit_ticks = 0;     ///< length of the fitted range
-  double rmse = 0.0;
-  double cost_bits = 0.0;
 
   /// Approximate resident footprint used against the byte budget.
   uint64_t ResidentBytes() const;
-
-  /// The warm-start seed RefitGlobalSequence expects (estimate carries
-  /// only its length — the fitted values are re-derived by simulation).
-  GlobalSequenceFit ToWarmStart() const;
 };
 
 /// The spill-log record of `model`: the bytes Put appends. Exposed so

@@ -321,8 +321,7 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
         if (previous.ok() &&
             previous->fit_ticks <= request.values.size()) {
           warm = true;
-          const GlobalSequenceFit seed = previous->ToWarmStart();
-          fit = RefitGlobalSequence(data, 0, 1, seed, fit_options);
+          fit = RefitGlobalSequence(data, 0, 1, *previous, fit_options);
         } else if (!previous.ok() &&
                    previous.status().code() != StatusCode::kNotFound) {
           // An unreadable or corrupt spill record is a real error, not a
@@ -339,16 +338,12 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
         break;
       }
       ServedModel model;
+      static_cast<KeywordModel&>(model) = std::move(*fit);
       model.keyword = request.keyword;
-      model.params = fit->params;
-      model.shocks = fit->shocks;
-      model.fit_ticks = request.values.size();
-      model.rmse = fit->rmse;
-      model.cost_bits = fit->cost_bits;
       reply.status = registry_->Put(model);
       if (reply.status.ok()) {
-        reply.rmse = fit->rmse;
-        reply.cost_bits = fit->cost_bits;
+        reply.rmse = model.rmse;
+        reply.cost_bits = model.cost_bits;
       }
       break;
     }
@@ -388,11 +383,9 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
       }
       const size_t fit_ticks = static_cast<size_t>(model->fit_ticks);
       const size_t total = fit_ticks + static_cast<size_t>(request.horizon);
-      const ModelParamSet set =
-          BuildSingleKeywordSet(model->params, model->shocks, total);
       std::vector<double> curve(total, 0.0);
       ScheduleCache cache;
-      SimulateGlobalInto(set, 0, &cache, curve);
+      SimulateKeywordInto(*model, &cache, curve);
       reply.values.assign(curve.begin() + static_cast<ptrdiff_t>(fit_ticks),
                           curve.end());
       reply.rmse = model->rmse;
@@ -415,11 +408,9 @@ ServeReply ServeEngine::Execute(const ServeRequest& request,
       // past the fitted range score against the model's forecast, so a
       // fresh spike shows up immediately.
       const size_t n = request.values.size();
-      const ModelParamSet set =
-          BuildSingleKeywordSet(model->params, model->shocks, n);
       std::vector<double> estimate(n, 0.0);
       ScheduleCache cache;
-      SimulateGlobalInto(set, 0, &cache, estimate);
+      SimulateKeywordInto(*model, &cache, estimate);
       const double denom = std::max(model->rmse, kMinScoreRmse);
       reply.values.resize(n);
       for (size_t t = 0; t < n; ++t) {

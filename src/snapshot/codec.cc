@@ -55,11 +55,9 @@ void ByteWriter::PutFileHeader(const char (&magic)[kFileMagicBytes],
   PutU32(version);
 }
 
-void ByteWriter::PutKeywordModel(uint64_t fit_ticks,
-                                 const KeywordGlobalParams& params,
-                                 double cost_bits, double rmse,
-                                 const std::vector<Shock>& shocks) {
-  PutU64(fit_ticks);
+void ByteWriter::PutKeywordModel(const KeywordModel& model) {
+  const KeywordGlobalParams& params = model.params;
+  PutU64(model.fit_ticks);
   PutDouble(params.population);
   PutDouble(params.beta);
   PutDouble(params.delta);
@@ -67,10 +65,10 @@ void ByteWriter::PutKeywordModel(uint64_t fit_ticks,
   PutDouble(params.i0);
   PutDouble(params.growth_rate);
   PutU64(params.growth_start);
-  PutDouble(cost_bits);
-  PutDouble(rmse);
-  PutU64(shocks.size());
-  for (const Shock& shock : shocks) {
+  PutDouble(model.cost_bits);
+  PutDouble(model.rmse);
+  PutU64(model.shocks.size());
+  for (const Shock& shock : model.shocks) {
     PutU64(shock.period);
     PutU64(shock.start);
     PutU64(shock.width);
@@ -180,11 +178,11 @@ Status ByteReader::GetFileHeader(const char (&magic)[kFileMagicBytes],
   return Status::Ok();
 }
 
-Status ByteReader::GetKeywordModel(uint64_t max_fit_ticks, uint64_t* fit_ticks,
-                                   KeywordGlobalParams* params,
-                                   double* cost_bits, double* rmse,
-                                   std::vector<Shock>* shocks) {
-  DSPOT_ASSIGN_OR_RETURN(*fit_ticks, GetCount(max_fit_ticks, "fit ticks"));
+Status ByteReader::GetKeywordModel(uint64_t max_fit_ticks,
+                                   KeywordModel* model) {
+  KeywordGlobalParams* params = &model->params;
+  DSPOT_ASSIGN_OR_RETURN(model->fit_ticks,
+                         GetCount(max_fit_ticks, "fit ticks"));
   DSPOT_ASSIGN_OR_RETURN(params->population, GetDouble());
   DSPOT_ASSIGN_OR_RETURN(params->beta, GetDouble());
   DSPOT_ASSIGN_OR_RETURN(params->delta, GetDouble());
@@ -192,12 +190,12 @@ Status ByteReader::GetKeywordModel(uint64_t max_fit_ticks, uint64_t* fit_ticks,
   DSPOT_ASSIGN_OR_RETURN(params->i0, GetDouble());
   DSPOT_ASSIGN_OR_RETURN(params->growth_rate, GetDouble());
   DSPOT_ASSIGN_OR_RETURN(params->growth_start, GetU64());
-  DSPOT_ASSIGN_OR_RETURN(*cost_bits, GetDouble());
-  DSPOT_ASSIGN_OR_RETURN(*rmse, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(model->cost_bits, GetDouble());
+  DSPOT_ASSIGN_OR_RETURN(model->rmse, GetDouble());
   DSPOT_ASSIGN_OR_RETURN(const uint64_t num_shocks,
                          GetCount(kMaxShocksPerKeyword, "shock count"));
-  shocks->assign(num_shocks, Shock());
-  for (Shock& shock : *shocks) {
+  model->shocks.assign(num_shocks, Shock());
+  for (Shock& shock : model->shocks) {
     shock.keyword = 0;
     DSPOT_ASSIGN_OR_RETURN(shock.period, GetU64());
     DSPOT_ASSIGN_OR_RETURN(shock.start, GetU64());

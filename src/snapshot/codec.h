@@ -69,9 +69,7 @@ class ByteWriter {
   /// the cost in bits, the RMSE and the shocks (period, start, width,
   /// base strength, global strengths). The stream state stores a fitted
   /// keyword this way, and a spill-log record checksums one.
-  void PutKeywordModel(uint64_t fit_ticks, const KeywordGlobalParams& params,
-                       double cost_bits, double rmse,
-                       const std::vector<Shock>& shocks);
+  void PutKeywordModel(const KeywordModel& model);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t>&& TakeBytes() { return std::move(bytes_); }
@@ -115,9 +113,7 @@ class ByteReader {
   /// Reads a PutKeywordModel block. A fit_ticks above `max_fit_ticks`, an
   /// over-cap shock or strength count and a zero shock width are
   /// DataLoss. Shocks come back tagged keyword 0.
-  Status GetKeywordModel(uint64_t max_fit_ticks, uint64_t* fit_ticks,
-                         KeywordGlobalParams* params, double* cost_bits,
-                         double* rmse, std::vector<Shock>* shocks);
+  Status GetKeywordModel(uint64_t max_fit_ticks, KeywordModel* model);
 
   size_t offset() const { return offset_; }
   size_t remaining() const { return size_ - offset_; }

@@ -75,9 +75,10 @@ StatusOr<ModelSnapshot> LoadSnapshot(const std::string& path);
 std::vector<uint8_t> EncodeSnapshotPayload(const ModelSnapshot& snapshot);
 
 /// The complete binary-file bytes of `snapshot` — magic, version, length,
-/// payload, CRC-32 — i.e. exactly what SaveSnapshot(kBinary) writes. For
-/// callers that own the write path themselves: the serve registry stores
-/// this image unchanged as the body of each spill-log record.
+/// payload, CRC-32 — i.e. exactly what SaveSnapshot(kBinary) writes, and
+/// SaveSnapshot writes through it. Tests pair it with DecodeSnapshotFile
+/// as the in-memory binary decoder. (The serve registry's spill log holds
+/// keyword models, not this image.)
 std::vector<uint8_t> EncodeSnapshotFile(const ModelSnapshot& snapshot);
 
 /// The inverse of EncodeSnapshotFile: decodes a binary snapshot image held

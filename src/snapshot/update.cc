@@ -1,9 +1,9 @@
 #include "snapshot/update.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cost.h"
@@ -88,7 +88,7 @@ StatusOr<ActivityTensor> ConcatTicks(const ActivityTensor& base,
 
 StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
                                  const ActivityTensor& tensor,
-                                 const UpdateOptions& options) {
+                                 const DspotOptions& options) {
   DSPOT_SPAN("update_fit");
   DSPOT_COUNT("update_fit.calls", 1);
   const ModelParamSet& old = model.params;
@@ -115,15 +115,15 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
   }
 
   GuardContext guard;
-  guard.deadline = options.fit.time_budget_ms > 0.0
-                       ? Deadline::AfterMillis(options.fit.time_budget_ms)
+  guard.deadline = options.time_budget_ms > 0.0
+                       ? Deadline::AfterMillis(options.time_budget_ms)
                        : Deadline::Infinite();
-  guard.cancel = options.fit.cancel;
+  guard.cancel = options.cancel;
 
-  GlobalFitOptions global_options = options.fit.global;
-  global_options.num_threads = options.fit.num_threads;
+  GlobalFitOptions global_options = options.global;
+  global_options.num_threads = options.num_threads;
   global_options.guard = guard;
-  global_options.on_keyword_error = options.fit.on_keyword_error;
+  global_options.on_keyword_error = options.on_keyword_error;
   global_options.warm_start = nullptr;  // UpdateFit seeds refits itself
 
   UpdateResult update;
@@ -135,7 +135,7 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
   // the new data (burst test). This is read-only on the old model, so
   // keywords run concurrently; the verdicts land in pre-assigned slots.
   ParallelOptions popts;
-  popts.num_threads = options.fit.num_threads;
+  popts.num_threads = options.num_threads;
   popts.cancel = guard.cancel;
   std::vector<double> actual_storage(d * new_n);
   // Byte-per-keyword verdicts: vector<bool> packs bits, and adjacent-bit
@@ -146,11 +146,7 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
     tensor.GlobalSequenceInto(i, actual);
     const Series extrapolated = SimulateGlobal(old, i, new_n);
     burst_verdict[i] =
-        HasResidualBurst(actual, extrapolated.values(), old_n,
-                         options.burst_threshold,
-                         std::max<size_t>(options.min_burst_ticks, 1))
-            ? 1
-            : 0;
+        HasResidualBurst(actual, extrapolated.values(), old_n) ? 1 : 0;
   });
   for (size_t i = 0; i < d; ++i) {
     update.redetected[i] = burst_verdict[i] != 0;
@@ -170,12 +166,7 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
   params.num_ticks = new_n;
   std::vector<StatusOr<GlobalSequenceFit>> fits =
       ParallelTryMap<GlobalSequenceFit>(d, popts, [&](size_t i) {
-        GlobalSequenceFit previous;
-        previous.params = old.global[i];
-        for (const Shock& shock : old.shocks) {
-          if (shock.keyword == i) previous.shocks.push_back(shock);
-        }
-        previous.estimate = Series(old_n);
+        const KeywordModel previous = old.KeywordModelFor(i);
         GlobalFitOptions keyword_options = global_options;
         if (!update.redetected[i]) {
           keyword_options.max_shocks_per_keyword = previous.shocks.size();
@@ -206,9 +197,9 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
     }
   }
 
-  if (options.fit.fit_local && tensor.num_locations() > 1) {
-    LocalFitOptions local_options = options.fit.local;
-    local_options.num_threads = options.fit.num_threads;
+  if (options.fit_local && tensor.num_locations() > 1) {
+    LocalFitOptions local_options = options.local;
+    local_options.num_threads = options.num_threads;
     local_options.guard = guard;
     FitHealth local_health;
     DSPOT_RETURN_IF_ERROR(

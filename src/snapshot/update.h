@@ -11,31 +11,6 @@
 
 namespace dspot {
 
-/// Incremental model update: absorb newly arrived ticks into a previously
-/// fitted (snapshot-loaded) model without re-running the full MDL search.
-///
-/// The loaded model's shock schedule is treated as a cache: every keyword
-/// is warm-refit from its previous parameters, and *new* shock detection
-/// runs only for keywords where the residual-burst detector fires on the
-/// appended window — i.e. where the old model demonstrably fails to
-/// explain the new data. Quiet keywords keep their shock inventory
-/// (occurrence strengths and base parameters are still re-optimized over
-/// the extended range).
-struct UpdateOptions {
-  /// Underlying fit knobs (threads, guard budget, coding model, ...).
-  /// `fit.warm_start` is ignored — UpdateFit supplies its own seed.
-  DspotOptions fit;
-  /// The appended-window burst test: a tick bursts when its absolute
-  /// residual against the old model's extrapolation exceeds
-  /// `burst_threshold` x the RMS residual of the old (already-explained)
-  /// range.
-  double burst_threshold = 4.0;
-  /// Number of bursting appended ticks required to trigger full shock
-  /// re-detection for a keyword (>= 1; single-tick glitches are cheaper
-  /// to absorb as noise than as an event).
-  size_t min_burst_ticks = 2;
-};
-
 struct UpdateResult {
   DspotResult result;
   /// Per keyword: true iff the burst detector fired and full shock
@@ -45,14 +20,18 @@ struct UpdateResult {
   size_t appended_ticks = 0;
 };
 
-/// Refits `model` on `tensor`, whose leading `model.params.num_ticks`
-/// ticks are the data the model was originally fit on and whose tail is
-/// newly appended. The tensor must span at least as many ticks as the
-/// model and carry the same keyword/location counts (InvalidArgument
-/// otherwise). With zero appended ticks this is a plain warm refit.
+/// Absorbs newly appended ticks into a previously fitted (snapshot-loaded)
+/// model without re-running the full MDL search. `tensor`'s leading
+/// `model.params.num_ticks` ticks are the data the model was fit on, the
+/// rest are new; it must carry the model's keyword/location counts
+/// (InvalidArgument otherwise). Every keyword is warm-refit from its
+/// previous model; new shock detection runs only where HasResidualBurst
+/// (timeseries/peaks.h) fires on the appended window, so quiet keywords
+/// keep their shock inventory. With zero appended ticks this is a plain
+/// warm refit. `options.warm_start` is ignored: UpdateFit seeds itself.
 StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
                                  const ActivityTensor& tensor,
-                                 const UpdateOptions& options = {});
+                                 const DspotOptions& options = {});
 
 /// Concatenates `extra`'s ticks directly after `base`'s. Keyword and
 /// location labels must match position for position (InvalidArgument

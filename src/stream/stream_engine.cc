@@ -242,30 +242,27 @@ StreamEngine::Action StreamEngine::Triage(KeywordState* ks) const {
   }
   const size_t shift =
       static_cast<size_t>(ks->window_start - ks->fit_window_start);
-  if (shift >= ks->fit_ticks) {
+  if (shift >= ks->model.fit_ticks) {
     return Action::kCold;  // the fitted range was fully evicted
   }
-  const size_t fit_end = ks->fit_ticks;       // fit-local window coordinates:
-  const size_t window_end = shift + ks->len;  // tick 0 = fit_window_start
+  // Fit-local window coordinates: tick 0 is fit_window_start.
+  const size_t fit_end = ks->model.fit_ticks;
+  const size_t window_end = shift + ks->len;
   if (window_end <= fit_end) {
     return Action::kNone;  // no ticks beyond the fitted range
   }
   const size_t new_ticks = window_end - fit_end;
-  const size_t burst_quorum = std::max<size_t>(options_.min_burst_ticks, 1);
-  if (new_ticks >= burst_quorum) {
+  if (new_ticks >= kResidualBurstQuorum) {
     // UpdateFit's residual-burst test over the retained window: extrapolate
     // the current model over the appended ticks and judge them against the
     // still-retained explained range.
-    const ModelParamSet set =
-        BuildSingleKeywordSet(ks->params, ks->shocks, window_end);
     std::vector<double> estimate(window_end);
-    SimulateGlobalInto(set, 0, &ks->cache, estimate);
+    SimulateKeywordInto(ks->model, &ks->cache, estimate);
     std::vector<double> window;
     CopyWindow(*ks, &window);
     const std::span<const double> window_estimate =
         std::span<const double>(estimate).subspan(shift);
-    if (HasResidualBurst(window, window_estimate, fit_end - shift,
-                         options_.burst_threshold, burst_quorum)) {
+    if (HasResidualBurst(window, window_estimate, fit_end - shift)) {
       return Action::kEscalate;
     }
   }
@@ -349,16 +346,16 @@ StatusOr<StreamFlushReport> StreamEngine::Flush() {
             // was fit on).
             const size_t shift = static_cast<size_t>(ks.window_start -
                                                      ks.fit_window_start);
-            GlobalSequenceFit previous;
-            previous.params = ks.params;
+            KeywordModel previous;
+            previous.params = ks.model.params;
             if (previous.params.has_growth()) {
               previous.params.growth_start =
                   previous.params.growth_start > shift
                       ? previous.params.growth_start - shift
                       : 0;
             }
-            previous.shocks = RebaseShocks(ks.shocks, shift, ks.len);
-            previous.estimate = Series(ks.fit_ticks - shift);
+            previous.shocks = RebaseShocks(ks.model.shocks, shift, ks.len);
+            previous.fit_ticks = ks.model.fit_ticks - shift;
             if (jobs[j].action == Action::kWarm) {
               // Scheduled maintenance: pin the shock cap at the current
               // inventory so the refit re-optimizes strengths and base
@@ -403,21 +400,16 @@ StatusOr<StreamFlushReport> StreamEngine::Flush() {
       case Action::kNone:
         break;
     }
-    KeywordState& ks = keywords_[jobs[j].keyword];
-    ks.has_fit = true;
-    ks.params = fit->params;
-    ks.shocks = std::move(fit->shocks);
-    for (Shock& shock : ks.shocks) {
-      shock.keyword = 0;
-    }
-    ks.fit_window_start = ks.window_start;
-    ks.fit_ticks = ks.len;
-    ks.fit_cost_bits = fit->cost_bits;
-    ks.fit_rmse = fit->rmse;
     if (fit->health.termination == FitTermination::kDeadlineExceeded) {
       report.deadline_hit = true;
     }
     DSPOT_OBSERVE("stream.keyword_update_ms", fit->health.wall_time_ms);
+    // The fit ran as keyword 0 over the whole window, so its model is
+    // already in this keyword's fit-local coordinates.
+    KeywordState& ks = keywords_[jobs[j].keyword];
+    ks.has_fit = true;
+    ks.model = std::move(*fit);
+    ks.fit_window_start = ks.window_start;
     PublishForecast(&ks, &scratch);
   }
 
@@ -432,13 +424,12 @@ void StreamEngine::PublishForecast(KeywordState* ks,
   // The model was just refreshed, so fit-local coordinates and window
   // coordinates agree: simulate fit_ticks + horizon ticks and publish the
   // tail past the fitted range.
-  const size_t total = ks->fit_ticks + horizon;
+  const size_t fit_ticks = ks->model.fit_ticks;
+  const size_t total = fit_ticks + horizon;
   scratch->resize(total);
-  const ModelParamSet set =
-      BuildSingleKeywordSet(ks->params, ks->shocks, ks->fit_ticks);
-  SimulateGlobalInto(set, 0, &ks->cache, *scratch);
+  SimulateKeywordInto(ks->model, &ks->cache, *scratch);
   const int64_t start_tick =
-      ks->fit_window_start + static_cast<int64_t>(ks->fit_ticks);
+      ks->fit_window_start + static_cast<int64_t>(fit_ticks);
 
   ForecastCell* cell = ks->forecast.load(std::memory_order_relaxed);
   if (cell == nullptr) {
@@ -448,7 +439,7 @@ void StreamEngine::PublishForecast(KeywordState* ks,
     AddBufferBytes(static_cast<int64_t>(sizeof(ForecastCell) +
                                         horizon * sizeof(ForecastCell::Cell)));
     for (size_t k = 0; k < horizon; ++k) {
-      cell->values[k].v.store((*scratch)[ks->fit_ticks + k],
+      cell->values[k].v.store((*scratch)[fit_ticks + k],
                               std::memory_order_relaxed);
     }
     cell->start_tick.store(start_tick, std::memory_order_relaxed);
@@ -462,7 +453,7 @@ void StreamEngine::PublishForecast(KeywordState* ks,
   cell->version.store(v + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   for (size_t k = 0; k < horizon; ++k) {
-    cell->values[k].v.store((*scratch)[ks->fit_ticks + k],
+    cell->values[k].v.store((*scratch)[fit_ticks + k],
                             std::memory_order_relaxed);
   }
   cell->start_tick.store(start_tick, std::memory_order_relaxed);

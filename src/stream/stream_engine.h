@@ -76,17 +76,11 @@ struct StreamOptions {
   size_t min_fit_ticks = 32;
   /// Scheduled maintenance: a fitted keyword is warm-refit (schedule
   /// pinned — no new shock proposals) once this many new ticks arrived
-  /// since its last fit, even without a burst.
+  /// since its last fit, even without a burst. A burst (HasResidualBurst,
+  /// timeseries/peaks.h) escalates it to full shock re-detection sooner.
   size_t refit_interval = 32;
   /// Published forecast window length (ticks past the fitted range).
   size_t forecast_horizon = 16;
-  /// Burst escalation: an appended tick bursts when its absolute residual
-  /// against the current model's extrapolation exceeds `burst_threshold` x
-  /// the RMS residual of the explained range; `min_burst_ticks` bursting
-  /// ticks escalate the keyword to full shock re-detection. Matches
-  /// UpdateOptions semantics.
-  double burst_threshold = 4.0;
-  size_t min_burst_ticks = 2;
   /// Hard cap on interned keywords (total-memory bound). Appends for new
   /// keywords beyond the cap are rejected with InvalidArgument.
   size_t max_keywords = 1u << 20;
@@ -220,8 +214,10 @@ class StreamEngine {
   /// error contract: bad magic/version -> InvalidArgument, truncation or
   /// checksum mismatch -> DataLoss with "<path>: offset" context.
   ///
-  /// Semantic options (tick bucketing, ring capacity, triage thresholds)
-  /// come from the file — they shaped the persisted state. Runtime options
+  /// Semantic options (tick bucketing, ring capacity, fit and refit
+  /// cadence) come from the file — they shaped the persisted state. A file
+  /// whose residual-burst threshold or quorum is not this build's
+  /// (timeseries/peaks.h) is InvalidArgument. Runtime options
   /// (`num_threads`, `flush_budget_ms`, `cancel`, and the fit knobs, which
   /// are not persisted) come from `runtime`; callers that want restored
   /// refits bit-identical to the original engine's must pass the same fit
@@ -273,14 +269,11 @@ class StreamEngine {
     bool has_appends = false;  ///< any accepted append yet
     bool dirty = false;        ///< touched since the last flush
     /// Fitted model in fit-local coordinates: local tick 0 is global tick
-    /// fit_window_start, the fit explains fit_ticks ticks.
+    /// fit_window_start, the fit explains model.fit_ticks ticks, and the
+    /// shocks are tagged keyword 0.
     bool has_fit = false;
     int64_t fit_window_start = 0;
-    size_t fit_ticks = 0;
-    KeywordGlobalParams params;
-    std::vector<Shock> shocks;
-    double fit_cost_bits = 0.0;
-    double fit_rmse = 0.0;
+    KeywordModel model;
     /// Schedule memo reused across this keyword's extrapolations/refits.
     ScheduleCache cache;
     /// Published forecast: set once (on the keyword's first fit) by the

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "snapshot/codec.h"
 #include "stream/stream_engine.h"
+#include "timeseries/peaks.h"
 
 namespace dspot {
 
@@ -41,8 +42,9 @@ class StreamStateCodec {
     w.PutU64(opt.min_fit_ticks);
     w.PutU64(opt.refit_interval);
     w.PutU64(opt.forecast_horizon);
-    w.PutDouble(opt.burst_threshold);
-    w.PutU64(opt.min_burst_ticks);
+    // The format keeps slots for HasResidualBurst's two constants.
+    w.PutDouble(kResidualBurstThreshold);
+    w.PutU64(kResidualBurstQuorum);
     w.PutU64(opt.max_keywords);
 
     w.PutU64(engine.keywords_.size());
@@ -59,8 +61,7 @@ class StreamStateCodec {
       w.PutU32(ks.has_fit ? 1 : 0);
       if (ks.has_fit) {
         w.PutU64(static_cast<uint64_t>(ks.fit_window_start));
-        w.PutKeywordModel(ks.fit_ticks, ks.params, ks.fit_cost_bits,
-                          ks.fit_rmse, ks.shocks);
+        w.PutKeywordModel(ks.model);
       }
       const StreamEngine::ForecastCell* cell =
           ks.forecast.load(std::memory_order_acquire);
@@ -100,9 +101,14 @@ class StreamStateCodec {
                            r->GetCount(1u << 30, "refit interval"));
     DSPOT_ASSIGN_OR_RETURN(opt.forecast_horizon,
                            r->GetCount(1u << 24, "forecast horizon"));
-    DSPOT_ASSIGN_OR_RETURN(opt.burst_threshold, r->GetDouble());
-    DSPOT_ASSIGN_OR_RETURN(opt.min_burst_ticks,
-                           r->GetCount(1u << 30, "min burst ticks"));
+    DSPOT_ASSIGN_OR_RETURN(const double burst_threshold, r->GetDouble());
+    DSPOT_ASSIGN_OR_RETURN(const uint64_t burst_quorum, r->GetU64());
+    if (burst_threshold != kResidualBurstThreshold ||
+        burst_quorum != kResidualBurstQuorum) {
+      return r->InvalidAt(
+          "persisted residual-burst threshold or quorum differs from this "
+          "build's constants; its keywords were triaged by other rules");
+    }
     DSPOT_ASSIGN_OR_RETURN(opt.max_keywords,
                            r->GetCount(uint64_t{1} << 32, "max keywords"));
 
@@ -180,9 +186,8 @@ class StreamStateCodec {
       if (ks.has_fit) {
         DSPOT_ASSIGN_OR_RETURN(const uint64_t fit_start, r->GetU64());
         ks.fit_window_start = static_cast<int64_t>(fit_start);
-        DSPOT_RETURN_IF_ERROR(r->GetKeywordModel(
-            engine->options_.ring_capacity, &ks.fit_ticks, &ks.params,
-            &ks.fit_cost_bits, &ks.fit_rmse, &ks.shocks));
+        DSPOT_RETURN_IF_ERROR(
+            r->GetKeywordModel(engine->options_.ring_capacity, &ks.model));
       }
       DSPOT_ASSIGN_OR_RETURN(const uint32_t has_forecast, r->GetU32());
       if (has_forecast != 0) {

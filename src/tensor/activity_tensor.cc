@@ -2,6 +2,22 @@
 
 namespace dspot {
 
+Status CheckTickExtent(size_t d, size_t l, size_t max_tick,
+                       const std::string& context) {
+  const size_t max_cells = std::vector<double>().max_size();
+  size_t cells = 0;
+  // max_tick < max_cells keeps max_tick + 1 from wrapping.
+  if (max_tick >= max_cells || __builtin_mul_overflow(d, l, &cells) ||
+      __builtin_mul_overflow(cells, max_tick + 1, &cells) ||
+      cells > max_cells) {
+    return Status::InvalidArgument(
+        context + ": tick " + std::to_string(max_tick) + " is out of range: " +
+        std::to_string(d) + " x " + std::to_string(l) + " x (" +
+        std::to_string(max_tick) + " + 1) cells exceed the largest tensor");
+  }
+  return Status::Ok();
+}
+
 Status ActivityTensor::SetKeywordName(size_t i, std::string name) {
   if (i >= d_) {
     return Status::OutOfRange("keyword index out of range");

@@ -94,6 +94,14 @@ class ActivityTensor {
   std::vector<std::string> locations_;
 };
 
+/// OK iff a d x l tensor whose last tick is `max_tick` can be sized:
+/// max_tick + 1 and d * l * (max_tick + 1) neither overflow nor exceed
+/// std::vector<double>().max_size(). Otherwise InvalidArgument
+/// "<context>: tick <max_tick> is out of range: ...". The CSV loaders and
+/// EventAggregator::Build check the ticks they read before sizing.
+Status CheckTickExtent(size_t d, size_t l, size_t max_tick,
+                       const std::string& context);
+
 }  // namespace dspot
 
 #endif  // DSPOT_TENSOR_ACTIVITY_TENSOR_H_

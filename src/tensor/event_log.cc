@@ -1,6 +1,7 @@
 #include "tensor/event_log.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -96,6 +97,8 @@ StatusOr<ActivityTensor> EventAggregator::Build() const {
   if (cells_.empty()) {
     return Status::FailedPrecondition("EventAggregator: no records accepted");
   }
+  DSPOT_RETURN_IF_ERROR(CheckTickExtent(keywords_.size(), locations_.size(),
+                                        max_tick_, "EventAggregator"));
   ActivityTensor tensor(keywords_.size(), locations_.size(), max_tick_ + 1);
   for (size_t i = 0; i < keywords_.size(); ++i) {
     DSPOT_RETURN_IF_ERROR(tensor.SetKeywordName(i, keywords_[i]));
@@ -170,8 +173,10 @@ Status ForEachEventCsv(
     }
     if (row_status.ok()) {
       char* end = nullptr;
+      errno = 0;
       record.timestamp = std::strtoll(timestamp.c_str(), &end, 10);
-      if (end == timestamp.c_str() || !FullyConsumed(end)) {
+      if (end == timestamp.c_str() || !FullyConsumed(end) ||
+          errno == ERANGE) {
         row_status = RowError(path, line_no, 3,
                               "unparseable timestamp '" + timestamp + "'");
       } else if (std::getline(fields, count, ',')) {
@@ -179,6 +184,10 @@ Status ForEachEventCsv(
         if (end == count.c_str() || !FullyConsumed(end)) {
           row_status =
               RowError(path, line_no, 4, "unparseable count '" + count + "'");
+        } else if (!fields.eof()) {
+          // The count ended at a comma, so a fifth field follows.
+          row_status = RowError(path, line_no, 5,
+                                "expected keyword,location,timestamp[,count]");
         }
       }
     }

@@ -1,5 +1,6 @@
 #include "tensor/tensor_io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -64,8 +65,10 @@ StatusOr<double> ParseValue(const std::string& field) {
 
 StatusOr<size_t> ParseIndex(const std::string& field) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == field.c_str() || !FullyConsumed(end) || v < 0) {
+  if (end == field.c_str() || !FullyConsumed(end) || errno == ERANGE ||
+      v < 0) {
     return Status::InvalidArgument("unparseable index field '" + field + "'");
   }
   return static_cast<size_t>(v);
@@ -180,6 +183,8 @@ StatusOr<ActivityTensor> LoadTensorCsv(const std::string& path,
   if (records.empty()) {
     return Status::IoError("no data rows in " + path);
   }
+  DSPOT_RETURN_IF_ERROR(
+      CheckTickExtent(keywords.size(), locations.size(), max_tick, path));
   ActivityTensor tensor(keywords.size(), locations.size(), max_tick + 1);
   if (!fill_absent_with_zero) {
     for (size_t i = 0; i < tensor.num_keywords(); ++i) {
@@ -269,6 +274,7 @@ StatusOr<Series> LoadSeriesCsv(const std::string& path,
   if (rows.empty()) {
     return Status::IoError("no data rows in " + path);
   }
+  DSPOT_RETURN_IF_ERROR(CheckTickExtent(1, 1, max_tick, path));
   Series s(max_tick + 1);
   for (double& v : s.mutable_values()) {
     v = kMissingValue;

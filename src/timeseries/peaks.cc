@@ -77,8 +77,7 @@ bool HasBurstNear(const std::vector<Burst>& bursts, size_t t,
 }
 
 bool HasResidualBurst(std::span<const double> actual,
-                      std::span<const double> estimate, size_t explained,
-                      double threshold, size_t quorum) {
+                      std::span<const double> estimate, size_t explained) {
   double sum_sq = 0.0;
   size_t count = 0;
   for (size_t t = 0; t < explained; ++t) {
@@ -95,11 +94,11 @@ bool HasResidualBurst(std::span<const double> actual,
   size_t bursting = 0;
   for (size_t t = explained; t < actual.size(); ++t) {
     if (IsMissing(actual[t])) continue;
-    if (std::fabs(actual[t] - estimate[t]) > threshold * sigma) {
+    if (std::fabs(actual[t] - estimate[t]) > kResidualBurstThreshold * sigma) {
       ++bursting;
     }
   }
-  return bursting >= quorum;
+  return bursting >= kResidualBurstQuorum;
 }
 
 }  // namespace dspot

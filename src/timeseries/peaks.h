@@ -46,17 +46,24 @@ std::vector<Burst> FindBursts(const Series& residual,
 bool HasBurstNear(const std::vector<Burst>& bursts, size_t t,
                   size_t tolerance);
 
+/// HasResidualBurst's z-score: a tick bursts when its absolute residual
+/// exceeds this many RMS residuals of the explained range.
+inline constexpr double kResidualBurstThreshold = 4.0;
+/// HasResidualBurst's quorum: bursting ticks needed to fire. Single-tick
+/// glitches are cheaper to absorb as noise than as an event.
+inline constexpr size_t kResidualBurstQuorum = 2;
+
 /// The residual-burst test behind UpdateFit and the stream engine's
 /// triage: does a model whose `estimate` explains the first `explained`
 /// ticks of `actual` still explain the ticks after them? sigma is the RMS
 /// residual over the explained range (missing ticks skipped); the test
-/// fires when at least `quorum` later ticks deviate by more than
-/// `threshold` * sigma, or when sigma <= 0 — a degenerate noise floor
-/// (nothing explained, or a perfect fit) cannot calibrate a z-score, so
-/// the caller re-detects. `estimate` must cover `actual`.
+/// fires when at least kResidualBurstQuorum later ticks deviate by more
+/// than kResidualBurstThreshold * sigma, or when sigma <= 0 — a
+/// degenerate noise floor (nothing explained, or a perfect fit) cannot
+/// calibrate a z-score, so the caller re-detects. `estimate` must cover
+/// `actual`.
 bool HasResidualBurst(std::span<const double> actual,
-                      std::span<const double> estimate, size_t explained,
-                      double threshold, size_t quorum);
+                      std::span<const double> estimate, size_t explained);
 
 }  // namespace dspot
 

@@ -79,6 +79,21 @@ endif()
 expect_usage_error("dspot_cli: stray.csv: unexpected argument"
                    "${DSPOT_CLI}" fit --series nofile.csv stray.csv)
 
+# --- A tick too large to allocate ---------------------------------------------
+# Two keywords and a tick of INT64_MAX once wrapped the tensor size to
+# zero and crashed the loader; now the load names file and tick, exit 1.
+set(huge_tick_csv "${WORK_DIR}/huge_tick.csv")
+file(WRITE "${huge_tick_csv}" "keyword,location,tick,value\n"
+     "foo,US,0,2\nbar,US,9223372036854775807,3\n")
+execute_process(COMMAND "${DSPOT_CLI}" fit-tensor --input "${huge_tick_csv}"
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR
+   NOT err MATCHES "huge_tick.csv: tick 9223372036854775807 is out of range")
+  message(FATAL_ERROR "expected exit 1 naming the tick, got rc=${rc}:\n${err}")
+endif()
+
 # --- Generate + observed fit -------------------------------------------------
 expect_success("${DSPOT_CLI}" generate --scenario harry_potter
                --output "${tensor_csv}" --ticks 120 --locations 3)

@@ -131,6 +131,69 @@ TEST(EventLog, CsvSkipBadRowsAggregatesTheRest) {
   EXPECT_DOUBLE_EQ(tensor->at(0, 0, 1), 1.0);
 }
 
+// Regression: two keywords and a tick of INT64_MAX asked Build for
+// 2 x 1 x 2^63 cells, which wrapped to an empty tensor that the
+// accumulation then wrote past. Build now fails naming the tick.
+TEST(EventLog, CsvRejectsATickTooLargeToAllocate) {
+  const std::string path = ::testing::TempDir() + "/events_huge_tick.csv";
+  {
+    std::ofstream os(path);
+    os << "keyword,location,timestamp,count\n";
+    os << "foo,US,0,2\n";
+    os << "bar,US,9223372036854775807,3\n";
+  }
+  const Status status = LoadAndAggregateEventsCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("EventAggregator: tick 9223372036854775807"),
+            std::string::npos)
+      << status.message();
+}
+
+// A timestamp strtoll cannot hold used to read as INT64_MAX.
+TEST(EventLog, CsvRejectsATimestampPastInt64AsUnparseable) {
+  const std::string path = ::testing::TempDir() + "/events_erange.csv";
+  {
+    std::ofstream os(path);
+    os << "keyword,location,timestamp\n";
+    os << "foo,US,99999999999999999999\n";
+  }
+  const Status status = LoadAndAggregateEventsCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ":2: column 3: unparseable"),
+            std::string::npos)
+      << status.message();
+}
+
+// Regression: the reader never looked past the count, so a fifth field was
+// silently dropped and the row aggregated.
+TEST(EventLog, CsvRejectsAFifthField) {
+  const std::string path = ::testing::TempDir() + "/events_fifth.csv";
+  {
+    std::ofstream os(path);
+    os << "keyword,location,timestamp,count\n";
+    os << "foo,US,0,2,junk\n";
+    os << "foo,US,1,3\n";
+  }
+  const Status status = LoadAndAggregateEventsCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(
+                path +
+                ":2: column 5: expected keyword,location,timestamp[,count]"),
+            std::string::npos)
+      << status.message();
+
+  CsvReadOptions read_options;
+  read_options.skip_bad_rows = true;
+  size_t skipped = 0;
+  read_options.skipped_rows = &skipped;
+  auto tensor =
+      LoadAndAggregateEventsCsv(path, AggregationConfig(), read_options);
+  ASSERT_TRUE(tensor.ok()) << tensor.status().ToString();
+  EXPECT_EQ(skipped, 1u);
+  EXPECT_DOUBLE_EQ(tensor->at(0, 0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(tensor->at(0, 0, 1), 3.0);
+}
+
 TEST(Normalization, SeriesRoundTrip) {
   Series s(std::vector<double>{10, 20, 50});
   ScaleInfo info;

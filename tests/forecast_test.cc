@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "core/dspot.h"
 #include "core/forecast.h"
 #include "core/simulate.h"
 #include "datagen/catalog.h"
 #include "datagen/generator.h"
+#include "serve/model_registry.h"
+#include "serve/serve_engine.h"
+#include "stream/stream_engine.h"
 #include "timeseries/metrics.h"
 
 namespace dspot {
@@ -175,6 +181,72 @@ TEST(Forecast, EndToEndGrammyBeatsNaive) {
   Series naive(test.size());
   for (size_t t = 0; t < naive.size(); ++t) naive[t] = train.MeanValue();
   EXPECT_LT(Rmse(test, *fc), Rmse(test, naive));
+}
+
+// One series, one model, three paths: the batch pipeline, a served fit
+// and forecast, and a stream that ingests the series as ticks 0..n-1 and
+// cold-fits it at one flush. Each fits the series as keyword 0 of 1 with
+// default options and runs the model past its fitted range, so the three
+// forecasts must be the same bits.
+TEST(Forecast, BatchStreamAndServedForecastsAgreeBitForBit) {
+  GeneratorConfig config = GoogleTrendsConfig(7);
+  config.n_ticks = 120;
+  config.num_locations = 4;
+  config.num_outlier_locations = 0;
+  auto generated = GenerateGlobalSequence(GrammyScenario(), config);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const std::vector<double>& values = generated->values();
+  const size_t n = values.size();
+  const size_t horizon = 26;
+
+  auto fit = FitDspotSingle(*generated);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  auto batch = ForecastGlobal(fit->params, 0, horizon);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), horizon);
+
+  ModelRegistry registry{RegistryOptions()};
+  ServeEngine engine(&registry, ServeOptions());
+  ServeRequest fit_request;
+  fit_request.id = 1;
+  fit_request.op = ServeOp::kFit;
+  fit_request.keyword = "grammy";
+  fit_request.values = values;
+  ASSERT_TRUE(engine.Call(fit_request).status.ok());
+  ServeRequest forecast_request;
+  forecast_request.id = 2;
+  forecast_request.op = ServeOp::kForecast;
+  forecast_request.keyword = "grammy";
+  forecast_request.horizon = horizon;
+  const ServeReply served = engine.Call(forecast_request);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  ASSERT_EQ(served.values.size(), horizon);
+
+  StreamOptions stream_options;
+  stream_options.forecast_horizon = horizon;
+  ASSERT_LE(stream_options.min_fit_ticks, n);
+  ASSERT_GE(stream_options.ring_capacity, n);
+  StreamEngine stream(stream_options);
+  for (size_t t = 0; t < n; ++t) {
+    ASSERT_TRUE(
+        stream.Append("grammy", "US", static_cast<int64_t>(t), values[t])
+            .ok());
+  }
+  auto report = stream.Flush();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->cold_fits, 1u);
+  std::vector<double> streamed(horizon);
+  int64_t start_tick = -1;
+  ASSERT_TRUE(
+      stream.ForecastInto(stream.KeywordIndex("grammy"), streamed,
+                          &start_tick)
+          .ok());
+  EXPECT_EQ(start_tick, static_cast<int64_t>(n));
+
+  const size_t bytes = horizon * sizeof(double);
+  EXPECT_EQ(std::memcmp(batch->values().data(), served.values.data(), bytes),
+            0);
+  EXPECT_EQ(std::memcmp(batch->values().data(), streamed.data(), bytes), 0);
 }
 
 }  // namespace

@@ -835,8 +835,7 @@ TEST(ServeEngine, RefitWarmStartsWhenDescriptorsAreExhausted) {
   refit.values = TestSeries(80, 0.5);
   // What a warm start from the stored model must produce.
   auto expected = RefitGlobalSequence(Series(std::vector<double>(refit.values)),
-                                      0, 1, fitted->ToWarmStart(),
-                                      options.fit);
+                                      0, 1, *fitted, options.fit);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
   ServeReply warm;

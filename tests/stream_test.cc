@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -572,6 +573,38 @@ TEST(Stream, DecodeStateRejectsDenormalizedForecastHorizon) {
                                       SmallOptions(), "pristine-state");
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ((*ok)->EncodeState(), pristine);
+}
+
+// The residual-burst threshold and quorum are constants, but the state
+// keeps their slots (bytes [48, 64) of the options block). A state that
+// carries other values was triaged differently, so decoding refuses it.
+TEST(Stream, DecodeStateRejectsOtherResidualBurstConstants) {
+  const TickStreamConfig config = MixedConfig();
+  StreamEngine engine(SmallOptions());
+  InternAll(&engine, config);
+  Replay(&engine, GenerateTickStream(config), /*flush_every=*/16);
+  const std::vector<uint8_t> pristine = engine.EncodeState();
+  ASSERT_GE(pristine.size(), 64u);
+
+  std::vector<uint8_t> threshold = pristine;
+  const double five = 5.0;
+  std::memcpy(threshold.data() + 48, &five, sizeof(five));
+  auto decoded = StreamEngine::DecodeState(
+      threshold.data(), threshold.size(), SmallOptions(), "patched-state");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status().ToString();
+  EXPECT_NE(decoded.status().message().find("residual-burst"),
+            std::string::npos)
+      << decoded.status().ToString();
+
+  std::vector<uint8_t> quorum = pristine;
+  quorum[56] = 3;
+  decoded = StreamEngine::DecodeState(quorum.data(), quorum.size(),
+                                      SmallOptions(), "patched-state");
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status().ToString();
 }
 
 }  // namespace

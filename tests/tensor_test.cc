@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "tensor/activity_tensor.h"
 #include "tensor/tensor_io.h"
@@ -284,6 +286,69 @@ TEST(TensorIo, SeriesSkipBadRowsLoadsTheRest) {
   ASSERT_EQ(loaded->size(), 3u);
   EXPECT_DOUBLE_EQ((*loaded)[0], 1.0);
   EXPECT_DOUBLE_EQ((*loaded)[2], 3.0);
+}
+
+// Regression: a tick near INT64_MAX sized the tensor from max tick + 1,
+// and 2 x 1 x 2^63 cells wrapped to an empty buffer that the record writes
+// then overran. The load now fails before sizing, naming file and tick.
+TEST(TensorIo, LoadRejectsATickTooLargeToAllocate) {
+  const std::string path = TempPath("tensor_huge_tick.csv");
+  std::ofstream os(path);
+  os << "keyword,location,tick,value\n";
+  os << "foo,US,0,2\n";
+  os << "bar,US,9223372036854775807,3\n";
+  os.close();
+  const Status status = LoadTensorCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ": tick 9223372036854775807"),
+            std::string::npos)
+      << status.message();
+}
+
+// A tick strtoll cannot hold used to read as INT64_MAX (ERANGE was never
+// checked) and abort the load with std::length_error. It is unparseable.
+TEST(TensorIo, LoadRejectsATickPastInt64AsUnparseable) {
+  const std::string path = TempPath("tensor_erange_tick.csv");
+  std::ofstream os(path);
+  os << "keyword,location,tick,value\n";
+  os << "foo,US,99999999999999999999,1\n";
+  os.close();
+  const Status status = LoadTensorCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ":2: column 3: unparseable"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(TensorIo, SeriesLoadRejectsATickTooLargeToAllocate) {
+  const std::string path = TempPath("series_huge_tick.csv");
+  std::ofstream os(path);
+  os << "tick,value\n0,1\n9223372036854775807,2\n";
+  os.close();
+  const Status status = LoadSeriesCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ": tick 9223372036854775807"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(ActivityTensor, CheckTickExtentRejectsOverflowAndOversize) {
+  EXPECT_TRUE(CheckTickExtent(2, 3, 100, "ctx").ok());
+  // d * l * (max tick + 1) wraps size_t to 0.
+  const Status wrapped = CheckTickExtent(2, 1, size_t{1} << 63, "ctx");
+  EXPECT_EQ(wrapped.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wrapped.message().rfind("ctx: tick 9223372036854775808", 0), 0u)
+      << wrapped.message();
+  // max tick + 1 itself wraps.
+  EXPECT_EQ(CheckTickExtent(1, 1, SIZE_MAX, "ctx").code(),
+            StatusCode::kInvalidArgument);
+  // No wrap, but more cells than a vector<double> can hold.
+  const size_t max_cells = std::vector<double>().max_size();
+  EXPECT_TRUE(CheckTickExtent(1, 1, max_cells - 1, "ctx").ok());
+  EXPECT_EQ(CheckTickExtent(1, 1, max_cells, "ctx").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckTickExtent(2, 1, max_cells / 2, "ctx").code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -632,9 +632,9 @@ int CmdUpdate(const Flags& flags) {
     std::fprintf(stderr, "warning: skipped %zu malformed row(s)\n",
                  skipped_rows);
   }
-  UpdateOptions options;
-  options.fit.num_threads = static_cast<size_t>(threads);
-  options.fit.time_budget_ms = static_cast<double>(time_budget_ms);
+  DspotOptions options;
+  options.num_threads = static_cast<size_t>(threads);
+  options.time_budget_ms = static_cast<double>(time_budget_ms);
   const ObsExportRequest obs_export = ObsExportRequest::FromFlags(flags);
   auto update = UpdateFit(*model, *tensor, options);
   if (!update.ok()) {
