@@ -39,10 +39,9 @@ struct DspotOptions {
   /// KeywordErrorPolicy): fail the whole fit (default) or keep the
   /// keywords that fit and report the rest via result.keyword_status.
   KeywordErrorPolicy on_keyword_error = KeywordErrorPolicy::kFail;
-  /// Worker threads for the whole pipeline: keywords fit concurrently in
-  /// GLOBALFIT, locations concurrently in LOCALFIT, and Jacobian columns
-  /// concurrently in high-dimensional LM solves. 0 = hardware
-  /// concurrency, 1 = fully serial. FitDspot copies this value over
+  /// Threads for the whole pipeline: keywords and each keyword's shock
+  /// candidates fit concurrently in GLOBALFIT, and locations concurrently
+  /// in LOCALFIT. 0 = hardware concurrency, 1 = fully serial. FitDspot copies this value over
   /// `global.num_threads` and `local.num_threads`, so it is the single
   /// knob to set. The fit is bit-identical at any thread count — results
   /// land in pre-assigned slots and reductions stay in index order — so

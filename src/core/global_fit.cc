@@ -32,17 +32,16 @@ struct FitState {
   CodingModel coding = CodingModel::kGaussian;
   /// Guard threaded into every LM solve below; inactive by default.
   GuardContext guard;
-  /// Aggregated health for the whole alternation. Probe copies share the
-  /// pointer on purpose: restarts spent on rejected candidates are still
-  /// work the fit performed.
+  /// Health that LM restarts are added to. Probe copies share the pointer,
+  /// except a shock candidate's, which gets its own (see FitCandidate).
   FitHealth* health = nullptr;
 };
 
 /// Per-keyword scratch threaded through every helper below: the schedule
 /// cache, the LM workspace, and the simulation / residual-index buffers.
-/// One instance per FitGlobalSequence call (and hence per ParallelMap task
-/// in GlobalFit), so the alternation loop stays allocation-free once warm
-/// without sharing mutable state across threads.
+/// One instance per FitGlobalSequence call and one per shock-candidate
+/// task (FitCandidate), so the alternation loop stays allocation-free once
+/// warm without sharing mutable state across threads.
 struct FitScratch {
   ScheduleCache schedules;
   LmWorkspace lm;
@@ -560,6 +559,78 @@ Shock RefineShockPlacement(const FitState& state, const Shock& candidate,
   return best;
 }
 
+/// One shock candidate judged against the incumbent: the probe's base
+/// parameters and shocks after the joint refinement, its MDL cost and
+/// RMSE, and the LM restarts it took.
+struct CandidateFit {
+  KeywordGlobalParams params;
+  std::vector<Shock> shocks;
+  double cost = 0.0;
+  double rmse = 0.0;
+  int restarts = 0;
+};
+
+/// Adds `candidate` to a copy of `state`, refines its placement, fits its
+/// strengths, and refits base and strengths jointly. Reads `state` only
+/// and works on its own FitScratch and FitHealth, so the candidates of one
+/// TryAddShock can run concurrently.
+StatusOr<CandidateFit> FitCandidate(const FitState& state,
+                                    const Shock& candidate,
+                                    const GlobalFitOptions& options) {
+  FitScratch scratch;
+  FitHealth health;
+  FitState probe = state;
+  probe.health = &health;
+  probe.shocks.push_back(RefineShockPlacement(
+      state, candidate, options.max_shock_strength, &scratch));
+  FitShockStrengths(&probe, probe.shocks.size() - 1,
+                    options.max_shock_strength, &scratch);
+  // Joint refinement before the MDL verdict: the incumbent base was fit
+  // with this spike mass unexplained, so judge the candidate only after
+  // base and strengths are refit *together*. Shock-free optima often sit
+  // in degenerate basins (e.g. a slow-ramp fit with tiny beta/delta where
+  // no eps(t) can produce a spike), and neither a warm base refit (stays
+  // in the basin) nor a plain multi-start (the basin wins as long as the
+  // strengths are zero) escapes — so each start gets a mini-EM: base LM,
+  // strength fit, base LM again.
+  std::vector<KeywordGlobalParams> seeds = {probe.params};
+  KeywordGlobalParams seed = probe.params;
+  seed.population = probe.peak * 2.0;
+  seed.beta = 0.5;
+  seed.delta = 0.45;
+  seed.gamma = 0.5;
+  seed.i0 = 1.0;
+  seeds.push_back(seed);
+  seed.beta = 0.9;
+  seed.delta = 0.7;
+  seed.gamma = 0.2;
+  seeds.push_back(seed);
+  FitState best_joint = probe;
+  double best_joint_rmse = std::numeric_limits<double>::infinity();
+  for (const KeywordGlobalParams& start : seeds) {
+    FitState trial = probe;
+    trial.params = start;
+    DSPOT_RETURN_IF_ERROR(
+        FitBaseParams(&trial, /*multi_start=*/false, &scratch));
+    FitShockStrengths(&trial, trial.shocks.size() - 1,
+                      options.max_shock_strength, &scratch);
+    DSPOT_RETURN_IF_ERROR(
+        FitBaseParams(&trial, /*multi_start=*/false, &scratch));
+    const double trial_rmse = StateRmse(trial, &scratch);
+    if (trial_rmse < best_joint_rmse) {
+      best_joint_rmse = trial_rmse;
+      best_joint = std::move(trial);
+    }
+  }
+  CandidateFit fit;
+  fit.cost = StateCostBits(best_joint, &scratch);
+  fit.rmse = StateRmse(best_joint, &scratch);
+  fit.params = best_joint.params;
+  fit.shocks = std::move(best_joint.shocks);
+  fit.restarts = health.restarts;
+  return fit;
+}
+
 /// One pass of greedy shock detection: propose candidates from the current
 /// residual, refine their placement, fit their strengths, and keep the
 /// best candidate. Acceptance is *optimistic*: a candidate is kept if it
@@ -569,6 +640,12 @@ Shock RefineShockPlacement(const FitState& state, const Shock& candidate,
 /// remaining trains), so a strict per-addition MDL gate deadlocks; the
 /// strict gate is instead applied by the backward pruning pass after the
 /// joint refit. Returns true if a shock was added.
+///
+/// Every candidate is judged against the same incumbent, so the candidates
+/// fan out over the pool at options.num_threads, each into its own slot.
+/// The verdict reads the slots in index order — restarts summed, the first
+/// failing slot's status returned, strict `cost < best_cost` — so the fit,
+/// its errors and its health match a serial loop at any thread count.
 StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
                            double* current_cost, FitScratch* scratch) {
   const std::span<const double> estimate = SimulateStateInto(*state, scratch);
@@ -585,82 +662,46 @@ StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
   }
   const double base_cost = *current_cost;
   const double base_rmse = StateRmse(*state, scratch);
+  ParallelOptions popts;
+  popts.num_threads = options.num_threads;
+  popts.cancel = state->guard.cancel;
+  std::vector<StatusOr<CandidateFit>> fits = ParallelTryMap<CandidateFit>(
+      candidates.size(), popts, [&](size_t i) {
+        return FitCandidate(*state, candidates[i], options);
+      });
   // The forward pass optimizes explanatory power optimistically; the
   // backward pass restores parsimony.
   double best_cost = std::numeric_limits<double>::infinity();
-  FitState best_state = *state;
-  bool improved = false;
-  for (const Shock& candidate : candidates) {
-    FitState probe = *state;
-    probe.shocks.push_back(RefineShockPlacement(
-        *state, candidate, options.max_shock_strength, scratch));
-    FitShockStrengths(&probe, probe.shocks.size() - 1,
-                      options.max_shock_strength, scratch);
-    // Joint refinement before the MDL verdict: the incumbent base was fit
-    // with this spike mass unexplained, so judge the candidate only after
-    // base and strengths are refit *together*. Shock-free optima often sit
-    // in degenerate basins (e.g. a slow-ramp fit with tiny beta/delta
-    // where no eps(t) can produce a spike), and neither a warm base refit
-    // (stays in the basin) nor a plain multi-start (the basin wins as long
-    // as the strengths are zero) escapes — so each start gets a mini-EM:
-    // base LM, strength fit, base LM again.
-    {
-      const double peak = probe.peak;
-      const std::vector<KeywordGlobalParams> seeds = [&] {
-        std::vector<KeywordGlobalParams> out = {probe.params};
-        KeywordGlobalParams seed = probe.params;
-        seed.population = peak * 2.0;
-        seed.beta = 0.5;
-        seed.delta = 0.45;
-        seed.gamma = 0.5;
-        seed.i0 = 1.0;
-        out.push_back(seed);
-        seed.beta = 0.9;
-        seed.delta = 0.7;
-        seed.gamma = 0.2;
-        out.push_back(seed);
-        return out;
-      }();
-      FitState best_joint = probe;
-      double best_joint_rmse = std::numeric_limits<double>::infinity();
-      for (const KeywordGlobalParams& seed : seeds) {
-        FitState trial = probe;
-        trial.params = seed;
-        DSPOT_RETURN_IF_ERROR(
-            FitBaseParams(&trial, /*multi_start=*/false, scratch));
-        FitShockStrengths(&trial, trial.shocks.size() - 1,
-                          options.max_shock_strength, scratch);
-        DSPOT_RETURN_IF_ERROR(
-            FitBaseParams(&trial, /*multi_start=*/false, scratch));
-        const double trial_rmse = StateRmse(trial, scratch);
-        if (trial_rmse < best_joint_rmse) {
-          best_joint_rmse = trial_rmse;
-          best_joint = std::move(trial);
-        }
-      }
-      probe = std::move(best_joint);
+  size_t best = kNpos;
+  for (size_t i = 0; i < fits.size(); ++i) {
+    if (!fits[i].ok()) {
+      return fits[i].status();
     }
-    const double cost = StateCostBits(probe, scratch);
-    const double rmse = StateRmse(probe, scratch);
+    const CandidateFit& fit = *fits[i];
+    if (state->health) {
+      state->health->restarts += fit.restarts;
+    }
     const bool mdl_better =
-        cost < base_cost * (1.0 - options.min_cost_decrease) ||
-        cost < base_cost - 1.0;
-    const bool rmse_better = rmse < base_rmse * (1.0 - options.min_rmse_decrease);
+        fit.cost < base_cost * (1.0 - options.min_cost_decrease) ||
+        fit.cost < base_cost - 1.0;
+    const bool rmse_better =
+        fit.rmse < base_rmse * (1.0 - options.min_rmse_decrease);
     // Among acceptable candidates, prefer the cheaper description: cost
     // comparisons between candidates are meaningful even when the shared
     // residual tail keeps all of them above the incumbent.
-    if ((mdl_better || rmse_better) && cost < best_cost) {
-      best_cost = cost;
-      best_state = probe;
-      improved = true;
+    if ((mdl_better || rmse_better) && fit.cost < best_cost) {
+      best_cost = fit.cost;
+      best = i;
     }
   }
-  if (improved) {
-    DSPOT_COUNT("global_fit.shocks_added", 1);
-    *state = std::move(best_state);
-    *current_cost = best_cost;
+  if (best == kNpos) {
+    return false;
   }
-  return improved;
+  DSPOT_COUNT("global_fit.shocks_added", 1);
+  state->params = fits[best]->params;
+  state->shocks = std::move(fits[best]->shocks);
+  *current_cost = best_cost;
+  return true;
 }
 
 /// The alternation loop shared by FitGlobalSequence (cold start) and

@@ -66,10 +66,12 @@ struct GlobalFitOptions {
   /// the alternation instead of the MDL-optimal snapshot. Never enable in
   /// production use — it disables the parsimony guarantee.
   bool return_final_state = false;
-  /// Worker threads for fitting keywords concurrently in GlobalFit
-  /// (0 = hardware concurrency, 1 = serial). Each keyword's GLOBALFIT is
-  /// independent and results are assembled in keyword order, so the fit
-  /// is bit-identical at any thread count. FitDspot plumbs
+  /// Threads for GlobalFit's keywords and for each keyword's shock
+  /// candidates (0 = hardware concurrency, 1 = serial). Keywords, and the
+  /// candidates of one shock search, are independent and their results
+  /// are read back in index order, so the fit is bit-identical at any
+  /// thread count. A candidate fan-out nested in the keyword fan-out runs
+  /// on the same threads (see ParallelForBlocks). FitDspot plumbs
   /// DspotOptions::num_threads through this field.
   size_t num_threads = 1;
   /// Deadline/cancellation pair, checked at alternation-round and

@@ -2,6 +2,7 @@
 #define DSPOT_KERNELS_CALENDAR_H_
 
 #include <cstdint>
+#include <optional>
 
 namespace dspot {
 namespace kernels {
@@ -26,6 +27,17 @@ constexpr int64_t FloorDiv(int64_t a, int64_t b) {
 /// Floor modulus: a - FloorDiv(a, b) * b, always in [0, |b|) for b > 0.
 constexpr int64_t FloorMod(int64_t a, int64_t b) {
   return a - FloorDiv(a, b) * b;
+}
+
+/// timestamp - origin, or nullopt when the timestamp precedes the origin.
+/// Subtracts as uint64_t, so every pair of int64 stamps has its exact
+/// distance (up to 2^64 - 1), where `timestamp - origin` would overflow:
+/// INT64_MAX after an origin of -10 is 2^63 + 9 units on. Callers reject
+/// a distance their tick type cannot hold.
+constexpr std::optional<uint64_t> OffsetFromOrigin(int64_t timestamp,
+                                                   int64_t origin) {
+  if (timestamp < origin) return std::nullopt;
+  return static_cast<uint64_t>(timestamp) - static_cast<uint64_t>(origin);
 }
 
 /// Civil (proleptic Gregorian) date components.

@@ -10,7 +10,6 @@
 #include "guard/fault_injector.h"
 #include "linalg/vector_ops.h"
 #include "obs/metrics.h"
-#include "parallel/parallel_for.h"
 
 namespace dspot {
 
@@ -19,14 +18,8 @@ namespace {
 /// Computes the forward-difference Jacobian of `fn` at `p` into `ws->jac`.
 /// `r0` is the residual vector already evaluated at `p`. Steps are clamped
 /// so probe points stay inside `bounds` (by stepping backwards when at the
-/// upper bound). The serial path reuses the workspace probe buffers and is
-/// allocation-free once warm. Columns are evaluated in parallel once the
-/// parameter count reaches `options.parallel_jacobian_min_params` (and
-/// `options.num_threads != 1`); each task owns one probe vector and one
-/// scratch residual buffer reused across its whole block of columns, so
-/// concurrent probes do not churn allocations. Column j writes only
-/// column j of the Jacobian, so the result is bit-identical at any
-/// thread count.
+/// upper bound). Reuses the workspace probe buffers, so it is
+/// allocation-free once warm.
 Status NumericJacobianInto(const ResidualIntoFn& fn,
                            const std::vector<double>& p,
                            const std::vector<double>& r0, const Bounds& bounds,
@@ -36,67 +29,25 @@ Status NumericJacobianInto(const ResidualIntoFn& fn,
   const size_t m = r0.size();
   Matrix& jac = ws->jac;
   jac.Resize(m, np);
-  const size_t threads = EffectiveNumThreads(options.num_threads);
-  if (threads <= 1 || np < options.parallel_jacobian_min_params) {
-    // Serial hot path: no per-call status array, the first failing column
-    // returns directly (same column order as the parallel tie-break).
-    std::vector<double>& probe = ws->probe;
-    probe = p;
-    std::vector<double>& r1 = ws->probe_r;
-    r1.resize(m);
-    for (size_t j = 0; j < np; ++j) {
-      double h = options.jacobian_step * std::max(1.0, std::fabs(p[j]));
-      // Step backwards if a forward step would leave the box.
-      if (!bounds.empty() && p[j] + h > bounds.upper[j]) {
-        h = -h;
-      }
-      probe[j] = p[j] + h;
-      Status s = fn(probe, r1);
-      probe[j] = p[j];
-      if (!s.ok()) {
-        return s;
-      }
-      const double inv_h = 1.0 / h;
-      for (size_t i = 0; i < m; ++i) {
-        jac(i, j) = (r1[i] - r0[i]) * inv_h;
-      }
-    }
-    return Status::Ok();
-  }
-  std::vector<Status> statuses(np, Status::Ok());
-  // One invocation per contiguous column block; scratch lives across the
-  // block. On error the rest of the block is skipped — the first failing
-  // column (lowest index, see below) decides the returned status, exactly
-  // like the serial early return does.
-  auto eval_columns = [&](size_t begin, size_t end) {
-    std::vector<double> probe = p;
-    std::vector<double> r1(m);
-    for (size_t j = begin; j < end; ++j) {
-      double h = options.jacobian_step * std::max(1.0, std::fabs(p[j]));
-      if (!bounds.empty() && p[j] + h > bounds.upper[j]) {
-        h = -h;
-      }
-      probe[j] = p[j] + h;
-      Status s = fn(probe, r1);
-      probe[j] = p[j];
-      if (!s.ok()) {
-        statuses[j] = std::move(s);
-        return;
-      }
-      const double inv_h = 1.0 / h;
-      for (size_t i = 0; i < m; ++i) {
-        jac(i, j) = (r1[i] - r0[i]) * inv_h;
-      }
-    }
-  };
-  ParallelOptions popts;
-  popts.num_threads = options.num_threads;
-  // One block per runner: scratch allocations stay O(threads).
-  popts.grain = (np + threads - 1) / threads;
-  ParallelForBlocks(np, popts, eval_columns);
+  std::vector<double>& probe = ws->probe;
+  probe = p;
+  std::vector<double>& r1 = ws->probe_r;
+  r1.resize(m);
   for (size_t j = 0; j < np; ++j) {
-    if (!statuses[j].ok()) {
-      return statuses[j];
+    double h = options.jacobian_step * std::max(1.0, std::fabs(p[j]));
+    // Step backwards if a forward step would leave the box.
+    if (!bounds.empty() && p[j] + h > bounds.upper[j]) {
+      h = -h;
+    }
+    probe[j] = p[j] + h;
+    Status s = fn(probe, r1);
+    probe[j] = p[j];
+    if (!s.ok()) {
+      return s;
+    }
+    const double inv_h = 1.0 / h;
+    for (size_t i = 0; i < m; ++i) {
+      jac(i, j) = (r1[i] - r0[i]) * inv_h;
     }
   }
   return Status::Ok();
@@ -404,8 +355,6 @@ StatusOr<LmResult> LevenbergMarquardt(const ResidualFn& residual_fn,
     return Status::InvalidArgument("LevenbergMarquardt: empty residuals");
   }
   const size_t m = r0.size();
-  // Per-call local buffers keep the wrapper safe under the parallel
-  // Jacobian, which may invoke it concurrently.
   ResidualIntoFn into = [&residual_fn](std::span<const double> params,
                                        std::span<double> out) -> Status {
     std::vector<double> p(params.begin(), params.end());

@@ -51,18 +51,6 @@ struct LmOptions {
   /// one tangent-linear pass yields both; kernels::SivNormalEquationsInto).
   /// Leave unset for the numeric path.
   NormalEquationsFn normal_equations;
-  /// Worker threads for evaluating numeric-Jacobian columns (0 = hardware
-  /// concurrency, 1 = serial). Each column probe is independent, so the
-  /// Jacobian — and therefore the whole solve — is bit-identical at any
-  /// thread count. With more than one thread the residual function must
-  /// be safe to call concurrently (each call gets its own probe vector
-  /// and residual buffer).
-  size_t num_threads = 1;
-  /// Columns are only parallelized once the parameter count reaches this
-  /// grain threshold; below it, the per-task overhead outweighs the probe
-  /// work (the Δ-SPOT base fit has 5 parameters and stays serial —
-  /// parallelism comes from the keyword/location layers above it).
-  size_t parallel_jacobian_min_params = 8;
   /// Divergence recovery: when the cost turns non-finite (or blows past
   /// 1e100) — at the initial point or on a trial step — the solver rewinds
   /// to its best-so-far iterate and retries from a deterministically
@@ -112,7 +100,7 @@ struct LmWorkspace {
   std::vector<double> jtr;
   std::vector<double> neg_jtr;
   std::vector<double> step;
-  /// Serial numeric-Jacobian scratch (parallel blocks own their scratch).
+  /// Numeric-Jacobian scratch.
   std::vector<double> probe;
   std::vector<double> probe_r;
   /// Best-so-far iterate across divergence-recovery restarts.

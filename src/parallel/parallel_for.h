@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -15,8 +14,9 @@ namespace dspot {
 
 /// Tuning knobs for the parallel loops below.
 struct ParallelOptions {
-  /// Worker threads to use: 0 = hardware concurrency, 1 = run serially on
-  /// the calling thread (no pool involvement at all).
+  /// Threads to use, the calling thread included: 0 = hardware
+  /// concurrency, 1 = run serially on the calling thread (no pool
+  /// involvement at all).
   size_t num_threads = 0;
   /// Minimum indices per task. Raising it trades load balance for lower
   /// scheduling overhead and larger per-task scratch reuse; a loop whose
@@ -32,11 +32,16 @@ struct ParallelOptions {
 /// Runs `fn(begin, end)` over a partition of [0, n) into contiguous
 /// blocks of at least `options.grain` indices. Blocks are claimed by at
 /// most `num_threads` concurrent runners through a shared atomic cursor
-/// (self-scheduling), so skewed block costs rebalance automatically and
-/// the configured thread count is honored even when the shared pool is
-/// larger. Each `fn` invocation covers one block; a runner invokes it for
-/// several blocks in sequence, so per-invocation scratch is amortized
-/// over `grain` indices.
+/// (self-scheduling), so skewed block costs rebalance automatically. Each
+/// `fn` invocation covers one block; a runner invokes it for several
+/// blocks in sequence, so per-invocation scratch is amortized over `grain`
+/// indices.
+///
+/// Thread bound: a region runs on ThreadPool::Shared(num_threads), whose
+/// num_threads - 1 workers and the waiting caller make num_threads
+/// threads. A region started inside a pool task (a nested region) runs on
+/// that task's pool instead, so it adds no threads to the region around
+/// it, whatever thread counts earlier regions in the process used.
 ///
 /// Determinism contract: `fn` must write only to slots derived from its
 /// indices (and read only shared immutable state); then the aggregate
@@ -67,12 +72,15 @@ void ParallelForBlocks(size_t n, const ParallelOptions& options,
   const size_t blocks = (n + block_size - 1) / block_size;
   const size_t runners = std::min(threads, blocks);
 
-  ThreadPool& pool = ThreadPool::Shared(threads);
+  ThreadPool* pool = ThreadPool::Current();
+  if (pool == nullptr) {
+    pool = &ThreadPool::Shared(threads);
+  }
   std::atomic<size_t> next_block{0};
   // Cancellation-aware group: runners not yet started are dropped at
   // dequeue time, and started runners re-check the token before each
   // block claim, so a cancelled loop drains within one block.
-  TaskGroup group(&pool, options.cancel);
+  TaskGroup group(pool, options.cancel);
   for (size_t r = 0; r < runners; ++r) {
     group.Run([&next_block, &fn, &options, n, blocks, block_size] {
       for (;;) {
@@ -102,45 +110,13 @@ void ParallelFor(size_t n, const ParallelOptions& options, const Fn& fn) {
   });
 }
 
-/// Maps `fn(i) -> StatusOr<T>` over [0, n) in parallel and collects the
-/// values into a vector in index order (slot i holds fn(i), bit-identical
-/// at any thread count). Errors do not tear down in-flight work: every
-/// index still runs, and the returned status is the error of the *lowest
-/// failing index* — the same error a serial first-failure loop reports,
-/// keeping the error path deterministic too.
-template <typename T, typename Fn>
-StatusOr<std::vector<T>> ParallelMap(size_t n, const ParallelOptions& options,
-                                     const Fn& fn) {
-  std::vector<std::optional<T>> slots(n);
-  std::vector<Status> statuses(n, Status::Ok());
-  ParallelFor(n, options, [&slots, &statuses, &fn](size_t i) {
-    StatusOr<T> result = fn(i);
-    if (result.ok()) {
-      slots[i] = std::move(result).value();
-    } else {
-      statuses[i] = result.status();
-    }
-  });
-  for (size_t i = 0; i < n; ++i) {
-    if (!statuses[i].ok()) {
-      return statuses[i];
-    }
-  }
-  std::vector<T> values;
-  values.reserve(n);
-  for (std::optional<T>& slot : slots) {
-    values.push_back(std::move(*slot));
-  }
-  return values;
-}
-
-/// Like ParallelMap, but keeps *every* per-index outcome instead of
-/// collapsing to the first error: slot i holds fn(i)'s StatusOr verbatim,
-/// so callers can implement skip-and-report policies (use the successful
-/// fits, surface the failed indices) without losing partial work. Indices
-/// skipped by a cancelled token (see ParallelOptions::cancel) come back as
-/// Status::Cancelled in their slots. Same determinism contract as
-/// ParallelMap: slot contents are bit-identical at any thread count.
+/// Maps `fn(i) -> StatusOr<T>` over [0, n) in parallel and keeps every
+/// per-index outcome: slot i holds fn(i)'s StatusOr verbatim, so callers
+/// can report the lowest failing index as a serial loop would, or skip
+/// and report failures without losing partial work. Indices skipped by a
+/// cancelled token (see ParallelOptions::cancel) come back as
+/// Status::Cancelled in their slots. Slot contents are bit-identical at
+/// any thread count (see ParallelForBlocks).
 template <typename T, typename Fn>
 std::vector<StatusOr<T>> ParallelTryMap(size_t n,
                                         const ParallelOptions& options,

@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <utility>
 
@@ -18,6 +19,24 @@ struct WorkerBinding {
 };
 thread_local WorkerBinding tls_binding;
 
+/// What ThreadPool::Current() reports: a worker's pool for good, or the
+/// pool of the task RunOneTask is running on some other thread.
+thread_local ThreadPool* tls_current = nullptr;
+
+/// Points tls_current at `pool` for one task and restores it after.
+class CurrentPoolScope {
+ public:
+  explicit CurrentPoolScope(ThreadPool* pool) : outer_(tls_current) {
+    tls_current = pool;
+  }
+  ~CurrentPoolScope() { tls_current = outer_; }
+  CurrentPoolScope(const CurrentPoolScope&) = delete;
+  CurrentPoolScope& operator=(const CurrentPoolScope&) = delete;
+
+ private:
+  ThreadPool* outer_;
+};
+
 constexpr size_t kNoWorker = static_cast<size_t>(-1);
 
 }  // namespace
@@ -31,7 +50,15 @@ size_t EffectiveNumThreads(size_t num_threads) {
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  EnsureWorkers(EffectiveNumThreads(num_threads));
+  const size_t n = EffectiveNumThreads(num_threads);
+  workers_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    workers_.push_back(std::make_unique<Worker>());
+  }
+  // Every deque exists before any worker (or thief) can look for one.
+  for (size_t i = 0; i < n; ++i) {
+    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
+  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -43,25 +70,10 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lk(sleep_mu_);
   }
   wake_cv_.notify_all();
-  const size_t n = num_workers();
-  for (size_t i = 0; i < n; ++i) {
-    if (workers_[i]->thread.joinable()) {
-      workers_[i]->thread.join();
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    if (worker->thread.joinable()) {
+      worker->thread.join();
     }
-  }
-}
-
-void ThreadPool::EnsureWorkers(size_t n) {
-  n = std::min(std::max<size_t>(n, 1), kMaxWorkers);
-  if (num_workers() >= n) {
-    return;
-  }
-  std::lock_guard<std::mutex> lk(grow_mu_);
-  for (size_t i = num_workers(); i < n; ++i) {
-    workers_[i] = std::make_unique<Worker>();
-    // Publish the slot before the worker (or any thief) can observe it.
-    num_workers_.store(i + 1, std::memory_order_release);
-    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -134,6 +146,7 @@ bool ThreadPool::RunOneTask() {
     return false;
   }
   {
+    const CurrentPoolScope scope(this);
     DSPOT_SPAN("pool.task");
     DSPOT_COUNT("pool.tasks_executed", 1);
     task();
@@ -143,6 +156,7 @@ bool ThreadPool::RunOneTask() {
 
 void ThreadPool::WorkerLoop(size_t index) {
   tls_binding = {this, index};
+  tls_current = this;
   for (;;) {
     std::function<void()> task;
     if (PopTask(index, &task)) {
@@ -166,14 +180,25 @@ void ThreadPool::WorkerLoop(size_t index) {
   }
 }
 
-ThreadPool& ThreadPool::Shared(size_t min_workers) {
+ThreadPool& ThreadPool::Shared(size_t num_threads) {
   // Intentionally leaked: joining workers during static destruction races
   // with other exit-time teardown; parked threads are reaped by process
   // exit instead.
-  static ThreadPool* shared = new ThreadPool(1);
-  shared->EnsureWorkers(EffectiveNumThreads(min_workers));
-  return *shared;
+  struct Pools {
+    std::mutex mu;
+    std::array<ThreadPool*, kMaxWorkers + 1> by_threads{};
+  };
+  static Pools* pools = new Pools;
+  const size_t n = std::max<size_t>(EffectiveNumThreads(num_threads), 2);
+  std::lock_guard<std::mutex> lk(pools->mu);
+  ThreadPool*& pool = pools->by_threads[n];
+  if (pool == nullptr) {
+    pool = new ThreadPool(n - 1);
+  }
+  return *pool;
 }
+
+ThreadPool* ThreadPool::Current() { return tls_current; }
 
 TaskGroup::~TaskGroup() { WaitNoThrow(); }
 

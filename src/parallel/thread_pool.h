@@ -1,7 +1,6 @@
 #ifndef DSPOT_PARALLEL_THREAD_POOL_H_
 #define DSPOT_PARALLEL_THREAD_POOL_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -11,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "guard/guard.h"
 
@@ -33,15 +33,15 @@ size_t EffectiveNumThreads(size_t num_threads);
 /// Determinism contract: the pool schedules tasks in an unspecified order,
 /// so callers that need reproducible results must make tasks independent
 /// and write results into pre-assigned slots (see ParallelFor /
-/// ParallelMap in parallel_for.h, which layer exactly that discipline on
-/// top).
+/// ParallelTryMap in parallel_for.h, which layer exactly that discipline
+/// on top).
 ///
 /// Threads blocked waiting for a set of tasks should help drain the pool
 /// via RunOneTask() (TaskGroup::Wait does this), which makes nested
 /// parallel sections deadlock-free even on a single-worker pool.
 class ThreadPool {
  public:
-  /// Hard cap on pool size; requests beyond it are clamped.
+  /// Hard cap on thread counts; requests beyond it are clamped.
   static constexpr size_t kMaxWorkers = 64;
 
   /// Starts `num_threads` workers (0 = hardware concurrency).
@@ -54,9 +54,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_workers() const {
-    return num_workers_.load(std::memory_order_acquire);
-  }
+  size_t num_workers() const { return workers_.size(); }
 
   /// Enqueues `task`. Called from a pool worker, the task lands on that
   /// worker's own deque (bottom); called from any other thread, it lands
@@ -69,14 +67,18 @@ class ThreadPool {
   /// thread; this is the "help while waiting" primitive.
   bool RunOneTask();
 
-  /// Grows the pool to at least `n` workers (clamped to kMaxWorkers).
-  /// Never shrinks.
-  void EnsureWorkers(size_t n);
+  /// The process-wide pool for parallel regions of `num_threads` threads
+  /// (0 = hardware concurrency, at least 2): num_threads - 1 workers, since
+  /// the thread that starts a region runs its tasks too while it waits.
+  /// One pool per thread count, created on first use and never destroyed,
+  /// so worker threads outlive static teardown safely.
+  static ThreadPool& Shared(size_t num_threads);
 
-  /// The process-wide shared pool used by ParallelFor/ParallelMap. Grown
-  /// on demand to `min_workers` (0 = hardware concurrency); never
-  /// destroyed, so worker threads outlive static teardown safely.
-  static ThreadPool& Shared(size_t min_workers = 0);
+  /// The pool whose task the calling thread is running: its own pool on a
+  /// worker, the task's pool inside RunOneTask on any other thread, and
+  /// null otherwise. ParallelFor runs a region started there on this pool,
+  /// so a nested region adds no threads to the one it runs in.
+  static ThreadPool* Current();
 
  private:
   struct Worker {
@@ -91,12 +93,8 @@ class ThreadPool {
   /// then the inject queue, then steals round-robin from the others.
   bool PopTask(size_t self, std::function<void()>* task);
 
-  /// Workers are appended, never removed: slot `i` is immutable once
-  /// `num_workers_` (release-published) covers it, so readers index the
-  /// array with only an acquire load.
-  std::array<std::unique_ptr<Worker>, kMaxWorkers> workers_;
-  std::atomic<size_t> num_workers_{0};
-  std::mutex grow_mu_;  // serializes EnsureWorkers
+  /// Filled before the first worker starts and never changed after.
+  std::vector<std::unique_ptr<Worker>> workers_;
 
   std::mutex inject_mu_;
   std::deque<std::function<void()>> inject_;
@@ -114,8 +112,8 @@ class ThreadPool {
 /// blocks until all of them finished, helping the pool drain in the
 /// meantime. The first exception thrown by any task is captured and
 /// rethrown from Wait(); later exceptions are dropped. Status-returning
-/// work should aggregate through ParallelMap instead, which reports the
-/// first error *in index order* (deterministically).
+/// work should aggregate through ParallelTryMap instead, which keeps every
+/// index's status in its slot (deterministically).
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool* pool = nullptr) : pool_(pool) {}

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "core/simulate.h"
+#include "kernels/calendar.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_for.h"
 #include "timeseries/peaks.h"
@@ -131,13 +134,24 @@ Status StreamEngine::AppendById(uint32_t keyword, int64_t timestamp,
         "StreamEngine::Append: keyword '" + ks.name + "': count " +
         std::to_string(count) + " must be finite and non-negative");
   }
-  if (timestamp < options_.origin) {
+  const std::optional<uint64_t> offset =
+      kernels::OffsetFromOrigin(timestamp, options_.origin);
+  if (!offset) {
     ++rejected_;
     DSPOT_COUNT("stream.rejected", 1);
     return Status::InvalidArgument(
         "StreamEngine::Append: keyword '" + ks.name + "': timestamp " +
         std::to_string(timestamp) + " precedes the stream origin " +
         std::to_string(options_.origin));
+  }
+  if (*offset > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    ++rejected_;
+    DSPOT_COUNT("stream.rejected", 1);
+    return Status::InvalidArgument(
+        "StreamEngine::Append: keyword '" + ks.name + "': timestamp " +
+        std::to_string(timestamp) + " lies " + std::to_string(*offset) +
+        " units past the stream origin " + std::to_string(options_.origin) +
+        ", more than a tick can hold");
   }
   if (ks.has_appends && timestamp < ks.last_timestamp) {
     ++rejected_;
@@ -148,7 +162,8 @@ Status StreamEngine::AppendById(uint32_t keyword, int64_t timestamp,
         std::to_string(ks.last_timestamp) +
         ") — per-keyword timestamps must be non-decreasing");
   }
-  const int64_t tick = (timestamp - options_.origin) / options_.ticks_resolution;
+  const int64_t tick =
+      static_cast<int64_t>(*offset) / options_.ticks_resolution;
   DSPOT_RETURN_IF_ERROR(AppendTick(&ks, tick, count));
   ks.last_timestamp = timestamp;
   ks.has_appends = true;
@@ -324,7 +339,9 @@ StatusOr<StreamFlushReport> StreamEngine::Flush() {
   }
 
   GlobalFitOptions base_options = options_.fit;
-  base_options.num_threads = 1;  // one keyword per pool slot already
+  // A fit nested in the job fan-out stays on its pool, so when there are
+  // fewer jobs than threads the idle ones take shock candidates.
+  base_options.num_threads = options_.num_threads;
   base_options.guard = guard;
 
   // Phase 2: the selected fits fan out over the pool, every result in its

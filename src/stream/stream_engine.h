@@ -93,9 +93,10 @@ struct StreamOptions {
   double flush_budget_ms = 0.0;
   /// Cooperative cancellation for Flush() (returns Status::Cancelled).
   CancellationToken cancel;
-  /// Underlying per-keyword fit knobs. `num_threads`, `guard`, and
-  /// `max_shocks_per_keyword` are managed by the engine per flush;
-  /// everything else is honored as given.
+  /// Underlying per-keyword fit knobs. `guard` and
+  /// `max_shocks_per_keyword` are managed by the engine per flush, and a
+  /// fit's `num_threads` (its shock candidates) is this struct's
+  /// `num_threads`; everything else is honored as given.
   GlobalFitOptions fit;
 };
 

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "kernels/calendar.h"
@@ -54,31 +55,30 @@ Status EventAggregator::Add(const EventRecord& record) {
   if (config_.ticks_resolution <= 0) {
     return Status::InvalidArgument("EventAggregator: non-positive resolution");
   }
-  if (record.timestamp < config_.origin) {
+  const std::optional<uint64_t> offset =
+      kernels::OffsetFromOrigin(record.timestamp, config_.origin);
+  if (!offset) {
     return Status::InvalidArgument(
         "EventAggregator: record timestamp precedes the origin");
   }
   if (record.keyword.empty() || record.location.empty()) {
     return Status::InvalidArgument("EventAggregator: empty keyword/location");
   }
-  int64_t tick_index;
+  size_t tick;
   if (config_.calendar_unit == CalendarUnit::kNone) {
-    // timestamp >= origin is enforced above, so the difference is
-    // non-negative and FloorDiv agrees with the historical truncating
-    // division bit-for-bit; floor semantics document the intent (and keep
-    // this path correct if the rejection rule ever loosens).
-    tick_index = kernels::FloorDiv(record.timestamp - config_.origin,
-                                   config_.ticks_resolution);
+    // The exact distance, even where timestamp - origin overflows int64;
+    // a tick past max_ticks is dropped below.
+    tick = *offset / static_cast<uint64_t>(config_.ticks_resolution);
   } else {
     // Calendar mode: tick = bucket(timestamp) - bucket(origin). Both sides
     // use floor-aligned bucketing, so pre-epoch origins and timestamps
     // (negative Unix seconds) index correctly — e.g. with a kDay unit and
     // origin 0, second -1 would be day -1, not day 0; the monotone bucket
     // functions plus the timestamp >= origin check keep tick >= 0.
-    tick_index = CalendarBucket(record.timestamp, config_.calendar_unit) -
-                 CalendarBucket(config_.origin, config_.calendar_unit);
+    tick = static_cast<size_t>(
+        CalendarBucket(record.timestamp, config_.calendar_unit) -
+        CalendarBucket(config_.origin, config_.calendar_unit));
   }
-  const size_t tick = static_cast<size_t>(tick_index);
   if (config_.max_ticks > 0 && tick >= config_.max_ticks) {
     ++dropped_;
     return Status::Ok();

@@ -166,6 +166,27 @@ expect_usage_error("keyword 'nope' not in the stream"
                    "${DSPOT_CLI}" stream --load-state "${stream_state}"
                    --forecast nope)
 
+# INT64_MAX after an origin of -10 once overflowed `timestamp - origin`,
+# and the row vanished uncounted. It is now a located rejection: exit 1,
+# or with --skip-bad-rows a skipped row the engine counts as rejected.
+set(far_events_csv "${WORK_DIR}/far_events.csv")
+file(WRITE "${far_events_csv}"
+     "keyword,location,timestamp\nfoo,US,9223372036854775807\n")
+expect_usage_error("far_events.csv:2: column 1: .*more than a tick can hold"
+                   "${DSPOT_CLI}" stream --events "${far_events_csv}"
+                   --origin -10)
+execute_process(COMMAND "${DSPOT_CLI}" stream --events "${far_events_csv}"
+                        --origin -10 --skip-bad-rows
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE far_out
+                ERROR_VARIABLE far_err)
+if(NOT rc EQUAL 0 OR
+   NOT far_out MATCHES "replayed 0 append\\(s\\) into 1 keyword\\(s\\), 1 rejected")
+  message(FATAL_ERROR
+          "expected the far row counted as rejected, got rc=${rc}:\n"
+          "${far_out}\n${far_err}")
+endif()
+
 # --- Durable streaming (WAL + crash recovery) --------------------------------
 expect_usage_error("--fsync-policy must be one of never\\|flush\\|everyn"
                    "${DSPOT_CLI}" stream --events "${events_csv}"

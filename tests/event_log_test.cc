@@ -149,6 +149,30 @@ TEST(EventLog, CsvRejectsATickTooLargeToAllocate) {
       << status.message();
 }
 
+// Regression: INT64_MAX after an origin of -10 overflowed
+// `timestamp - origin`. The aggregator now gets the true distance,
+// 2^63 + 9 ticks: past max_ticks the row is dropped, and without a cap
+// Build names the tick as too large.
+TEST(EventLog, TimestampFarPastANegativeOriginKeepsItsDistance) {
+  AggregationConfig config;
+  config.origin = -10;
+  config.max_ticks = 16;
+  EventAggregator capped(config);
+  ASSERT_TRUE(capped.Add({"a", "US", -10}).ok());
+  ASSERT_TRUE(capped.Add({"a", "US", 9223372036854775807}).ok());
+  EXPECT_EQ(capped.accepted(), 1u);
+  EXPECT_EQ(capped.dropped(), 1u);
+
+  config.max_ticks = 0;
+  EventAggregator uncapped(config);
+  ASSERT_TRUE(uncapped.Add({"a", "US", 9223372036854775807}).ok());
+  const Status status = uncapped.Build().status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("tick 9223372036854775817"),
+            std::string::npos)
+      << status.message();
+}
+
 // A timestamp strtoll cannot hold used to read as INT64_MAX.
 TEST(EventLog, CsvRejectsATimestampPastInt64AsUnparseable) {
   const std::string path = ::testing::TempDir() + "/events_erange.csv";

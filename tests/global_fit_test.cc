@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/global_fit.h"
 #include "core/simulate.h"
 #include "datagen/catalog.h"
 #include "datagen/generator.h"
+#include "guard/fault_injector.h"
 #include "timeseries/metrics.h"
 
 namespace dspot {
@@ -145,6 +149,92 @@ TEST(GlobalFit, HandlesMissingValues) {
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
   const double range = data->MaxValue() - data->MinValue();
   EXPECT_LT(fit->rmse, 0.2 * range);
+}
+
+/// A Grammy-style annual cycle plus two one-shot events: several shock
+/// searches, each with several candidates to fan out.
+Series SeveralShocks() {
+  KeywordScenario sc = GrammyScenario();
+  sc.shocks.push_back({.period = 0, .start = 120, .width = 3, .strength = 14.0});
+  sc.shocks.push_back({.period = 0, .start = 230, .width = 2, .strength = 9.0});
+  return Generate(sc, 7);
+}
+
+void ExpectSameFit(const GlobalSequenceFit& a, const GlobalSequenceFit& b,
+                   size_t threads) {
+  EXPECT_EQ(a.params.population, b.params.population) << threads;
+  EXPECT_EQ(a.params.beta, b.params.beta) << threads;
+  EXPECT_EQ(a.params.delta, b.params.delta) << threads;
+  EXPECT_EQ(a.params.gamma, b.params.gamma) << threads;
+  EXPECT_EQ(a.params.i0, b.params.i0) << threads;
+  EXPECT_EQ(a.params.growth_rate, b.params.growth_rate) << threads;
+  EXPECT_EQ(a.params.growth_start, b.params.growth_start) << threads;
+  ASSERT_EQ(a.shocks.size(), b.shocks.size()) << threads;
+  for (size_t k = 0; k < a.shocks.size(); ++k) {
+    EXPECT_EQ(a.shocks[k].ToString(), b.shocks[k].ToString()) << threads;
+    EXPECT_EQ(a.shocks[k].base_strength, b.shocks[k].base_strength);
+    EXPECT_EQ(a.shocks[k].global_strengths, b.shocks[k].global_strengths);
+  }
+  EXPECT_EQ(a.cost_bits, b.cost_bits) << threads;
+  EXPECT_EQ(a.rmse, b.rmse) << threads;
+  EXPECT_EQ(a.estimate.values(), b.estimate.values()) << threads;
+  EXPECT_EQ(a.health.restarts, b.health.restarts) << threads;
+  EXPECT_EQ(a.health.iterations, b.health.iterations) << threads;
+}
+
+// One keyword, so only the shock-candidate fan-out is parallel: a fit and
+// a warm refit are bit-identical at every thread count.
+TEST(GlobalFit, ShockCandidatesFitBitIdenticallyAtAnyThreadCount) {
+  const Series data = SeveralShocks();
+  const Series prefix(std::vector<double>(data.values().begin(),
+                                          data.values().begin() + 260));
+  GlobalFitOptions options;
+  options.num_threads = 1;
+  auto serial = FitGlobalSequence(data, 0, 1, options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_GE(serial->shocks.size(), 2u);
+  auto previous = FitGlobalSequence(prefix, 0, 1, options);
+  ASSERT_TRUE(previous.ok()) << previous.status().ToString();
+  auto serial_refit = RefitGlobalSequence(data, 0, 1, *previous, options);
+  ASSERT_TRUE(serial_refit.ok()) << serial_refit.status().ToString();
+  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    options.num_threads = threads;
+    auto fit = FitGlobalSequence(data, 0, 1, options);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    ExpectSameFit(*serial, *fit, threads);
+    auto refit = RefitGlobalSequence(data, 0, 1, *previous, options);
+    ASSERT_TRUE(refit.ok()) << refit.status().ToString();
+    ExpectSameFit(*serial_refit, *refit, threads);
+  }
+}
+
+// A NaN injected into one LM cost evaluation inside a shock candidate's
+// mini-EM costs that solve a restart; the candidate counts it in its own
+// health, and the verdict adds it to the fit's.
+TEST(GlobalFit, RestartsInsideShockCandidatesReachTheFitHealth) {
+  const Series data = SeveralShocks();
+  GlobalFitOptions options;
+  options.num_threads = 1;
+  FaultInjector::Instance().ArmExact(FaultSite::kNanAtResidual, 3000);
+  auto fit = FitGlobalSequence(data, 0, 1, options);
+  FaultInjector::Instance().Disarm();
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  EXPECT_EQ(fit->health.restarts, 1);
+}
+
+TEST(GlobalFit, CancellationDuringAFourThreadFitReturnsCancelled) {
+  const Series data = SeveralShocks();
+  GlobalFitOptions options;
+  options.num_threads = 4;
+  options.guard.cancel = CancellationToken::Cancellable();
+  std::thread canceller([token = options.guard.cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    token.Cancel();
+  });
+  auto fit = FitGlobalSequence(data, 0, 1, options);
+  canceller.join();
+  EXPECT_EQ(fit.status().code(), StatusCode::kCancelled)
+      << fit.status().ToString();
 }
 
 TEST(GlobalFitTensor, FitsEveryKeyword) {

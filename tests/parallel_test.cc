@@ -1,5 +1,5 @@
 // Unit tests for the dspot_parallel runtime (ThreadPool, TaskGroup,
-// ParallelFor/ParallelMap) plus the end-to-end determinism contract:
+// ParallelFor/ParallelTryMap) plus the end-to-end determinism contract:
 // FitDspot must produce bit-identical results at any thread count.
 
 #include <gtest/gtest.h>
@@ -187,7 +187,48 @@ TEST(ParallelFor, NestedLoopsDoNotDeadlock) {
   }
 }
 
-TEST(ParallelMap, CollectsResultsInIndexOrder) {
+/// Runs 2 ms bodies in a ParallelFor at `inner` threads nested in one at
+/// `outer` and returns the most bodies that ran at once.
+size_t PeakNestedBodies(size_t outer, size_t inner) {
+  ParallelOptions outer_options;
+  outer_options.num_threads = outer;
+  ParallelOptions inner_options;
+  inner_options.num_threads = inner;
+  std::atomic<size_t> running{0};
+  std::atomic<size_t> peak{0};
+  ParallelFor(8, outer_options, [&](size_t) {
+    ParallelFor(8, inner_options, [&](size_t) {
+      const size_t now = running.fetch_add(1) + 1;
+      size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      running.fetch_sub(1);
+    });
+  });
+  return peak.load();
+}
+
+TEST(ParallelFor, NestedRegionsKeepTheThreadBound) {
+  size_t peak = PeakNestedBodies(4, 4);
+  EXPECT_LE(peak, 4u);
+  EXPECT_GE(peak, 2u);  // the loops did run in parallel
+  // A wider region earlier in the process lends no threads to later ones.
+  ParallelOptions wide;
+  wide.num_threads = 8;
+  ParallelFor(64, wide, [](size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  peak = PeakNestedBodies(4, 4);
+  EXPECT_LE(peak, 4u);
+  EXPECT_GE(peak, 2u);
+  // A wider region nested in a narrower one runs on the outer one's pool.
+  peak = PeakNestedBodies(4, 8);
+  EXPECT_LE(peak, 4u);
+  EXPECT_GE(peak, 2u);
+}
+
+TEST(ParallelTryMap, CollectsResultsInIndexOrder) {
   ParallelOptions serial;
   serial.num_threads = 1;
   ParallelOptions wide;
@@ -198,31 +239,30 @@ TEST(ParallelMap, CollectsResultsInIndexOrder) {
     Random rng = Random(99).Child(i);
     return rng.Uniform() + static_cast<double>(i);
   };
-  auto a = ParallelMap<double>(256, serial, value_at);
-  auto b = ParallelMap<double>(256, wide, value_at);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), 256u);
-  for (size_t i = 0; i < a->size(); ++i) {
-    ASSERT_EQ((*a)[i], (*b)[i]) << "slot " << i;
-    ASSERT_GE((*a)[i], static_cast<double>(i));
+  const std::vector<StatusOr<double>> a =
+      ParallelTryMap<double>(256, serial, value_at);
+  const std::vector<StatusOr<double>> b =
+      ParallelTryMap<double>(256, wide, value_at);
+  ASSERT_EQ(a.size(), 256u);
+  ASSERT_EQ(b.size(), 256u);
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_TRUE(a[i].ok()) << "slot " << i;
+    ASSERT_TRUE(b[i].ok()) << "slot " << i;
+    ASSERT_EQ(*a[i], *b[i]) << "slot " << i;
+    ASSERT_GE(*a[i], static_cast<double>(i));
   }
 }
 
-TEST(ParallelMap, ReportsLowestFailingIndexDeterministically) {
+TEST(ParallelTryMap, ReportsSlotsOfACancelledTokenAsCancelled) {
   ParallelOptions options;
-  options.num_threads = 8;
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    auto result = ParallelMap<int>(64, options, [](size_t i) -> StatusOr<int> {
-      if (i == 3 || i == 47) {
-        return Status::NumericalError("failure at index " +
-                                      std::to_string(i));
-      }
-      return static_cast<int>(i);
-    });
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kNumericalError);
-    EXPECT_EQ(result.status().message(), "failure at index 3");
+  options.num_threads = 4;
+  options.cancel = CancellationToken::Cancellable();
+  options.cancel.Cancel();
+  const std::vector<StatusOr<int>> slots = ParallelTryMap<int>(
+      8, options, [](size_t i) -> StatusOr<int> { return static_cast<int>(i); });
+  ASSERT_EQ(slots.size(), 8u);
+  for (const StatusOr<int>& slot : slots) {
+    EXPECT_EQ(slot.status().code(), StatusCode::kCancelled);
   }
 }
 

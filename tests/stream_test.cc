@@ -127,6 +127,24 @@ TEST(Stream, AppendRejectsBadCountsAndPreOriginTimestamps) {
   EXPECT_TRUE(engine.Append("kw", "all", 100, 1.0).ok());
 }
 
+// Regression: INT64_MAX after an origin of -10 overflowed
+// `timestamp - origin` into a negative tick. The distance, 2^63 + 9, is
+// more than an int64 tick holds, so the append is rejected and counted.
+TEST(Stream, AppendRejectsATimestampBeyondTheLargestTick) {
+  StreamOptions options = SmallOptions();
+  options.origin = -10;
+  StreamEngine engine(options);
+  const Status s = engine.Append("kw", "all", 9223372036854775807, 1.0);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("lies 9223372036854775817 units past the "
+                             "stream origin -10"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(engine.stats().rejected, 1u);
+  EXPECT_EQ(engine.stats().appends, 0u);
+  EXPECT_TRUE(engine.Append("kw", "all", -10, 1.0).ok());
+}
+
 TEST(Stream, AppendByIdRejectsUnknownIndex) {
   StreamEngine engine(SmallOptions());
   Status s = engine.AppendById(7, 0, 1.0);

@@ -77,6 +77,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,6 +90,7 @@
 #include "core/report.h"
 #include "datagen/catalog.h"
 #include "datagen/generator.h"
+#include "kernels/calendar.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "snapshot/snapshot.h"
@@ -821,14 +823,21 @@ int CmdStream(const Flags& flags) {
     Status replay = ForEachEventCsv(
         events, read_options, [&](const EventRecord& r) -> Status {
           // Flush whenever stream time crosses a --flush-every boundary,
-          // like a periodic ingest batch.
-          const int64_t tick = (r.timestamp - eng_origin) / eng_resolution;
-          const int64_t bucket = tick / flush_every;
-          if (last_flush_bucket != std::numeric_limits<int64_t>::min() &&
-              bucket > last_flush_bucket) {
-            DSPOT_RETURN_IF_ERROR(flush_now());
+          // like a periodic ingest batch. A row without a tick (before the
+          // origin, or too far past it) is left for Append to reject.
+          const std::optional<uint64_t> offset =
+              kernels::OffsetFromOrigin(r.timestamp, eng_origin);
+          if (offset && *offset <= static_cast<uint64_t>(
+                                       std::numeric_limits<int64_t>::max())) {
+            const int64_t tick =
+                static_cast<int64_t>(*offset) / eng_resolution;
+            const int64_t bucket = tick / flush_every;
+            if (last_flush_bucket != std::numeric_limits<int64_t>::min() &&
+                bucket > last_flush_bucket) {
+              DSPOT_RETURN_IF_ERROR(flush_now());
+            }
+            last_flush_bucket = bucket;
           }
-          last_flush_bucket = bucket;
           DSPOT_RETURN_IF_ERROR(
               durable
                   ? durable->Append(r.keyword, r.location, r.timestamp,
