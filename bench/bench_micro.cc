@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the numeric kernels underlying
 // the pipeline: SIV simulation, epsilon construction, LM on a canonical
 // problem, and the dense solvers. A custom main additionally times the
-// kernel layer directly (SIMD batch vs scalar SIV, resumed vs full runs,
-// the fused normal equations vs Jacobian + Gram + J^T r, SIMD vs
-// scalar-fold reductions, analytic vs numeric LM derivatives) and exports
+// kernel layer directly (SIMD batch vs scalar SIV and the batch cost per
+// lane count, resumed vs full runs, the fused normal equations vs Jacobian
+// + Gram + J^T r, SIMD vs scalar-fold reductions, analytic vs numeric LM
+// derivatives, lock-stepped vs serial LM solves) and exports
 // the results — including the bit-identity / golden-tolerance verdicts the
 // CI kernel job asserts on — to BENCH_micro.json.
 
@@ -452,6 +453,50 @@ void AddSivBatchMetrics(bench::BenchJson* json) {
               kCount, speedup, bit_identical ? "yes" : "NO");
 }
 
+/// The cost of one batch at 1, 3, 4 and 8 lanes, in scalar runs: how much
+/// a lock-step LM round or a scan pays for its lanes. At n = 104 ticks, the
+/// horizon of GLOBALFIT's LM residuals on the paper-sized workloads.
+void AddSivBatchLanesCost(bench::BenchJson* json) {
+  constexpr size_t kTicks = 104;
+  constexpr int kInner = 2000;
+  std::vector<double> eps(kTicks, 1.0);
+  for (size_t t = 30; t < 33; ++t) eps[t] = 6.0;
+  const kernels::SivParams p{220.0, 0.55, 0.42, 0.3, 1.5};
+  std::vector<double> out(kTicks * 8);
+  const double scalar_secs = BestSeconds(5, [&] {
+    for (int it = 0; it < kInner; ++it) {
+      kernels::SimulateSivScalarInto(p, eps, {},
+                                     std::span<double>(out).first(kTicks));
+      benchmark::DoNotOptimize(out.data());
+    }
+  });
+  std::printf("kernel: SIV batch cost in scalar runs (n = %zu) ", kTicks);
+  for (const size_t lanes : {1ul, 3ul, 4ul, 8ul}) {
+    std::vector<double> soa(5 * lanes), eps_soa(kTicks * lanes);
+    for (size_t l = 0; l < lanes; ++l) {
+      const double f = static_cast<double>(l);
+      const double lane_params[5] = {p.population + f, p.beta, p.delta,
+                                     p.gamma, p.i0};
+      for (size_t k = 0; k < 5; ++k) soa[k * lanes + l] = lane_params[k];
+      for (size_t t = 0; t < kTicks; ++t) eps_soa[t * lanes + l] = eps[t];
+    }
+    const double* q = soa.data();
+    const kernels::SivBatchSoA batch{q,         q + lanes,      q + 2 * lanes,
+                                     q + 3 * lanes, q + 4 * lanes,
+                                     eps_soa.data(), nullptr};
+    const double batch_secs = BestSeconds(5, [&] {
+      for (int it = 0; it < kInner; ++it) {
+        kernels::SimulateSivBatchInto(batch, lanes, kTicks, out.data());
+        benchmark::DoNotOptimize(out.data());
+      }
+    });
+    const double cost = batch_secs / scalar_secs;
+    json->Set("siv_batch_lanes_cost_" + std::to_string(lanes), cost);
+    std::printf(" %zu lanes %.2f", lanes, cost);
+  }
+  std::printf("\n");
+}
+
 /// The fused normal-equations pass vs its reference (SivJacobianInto,
 /// then GramInto and TransposedTimesInto) on one LM-sized problem with
 /// shocks, growth and a gappy observed list: speedup and bit-identity.
@@ -744,15 +789,136 @@ void AddLmJacobianMetrics(bench::BenchJson* json) {
       traj_rel_diff, within ? "yes" : "NO");
 }
 
+/// K SIV fits lock-stepped through LevenbergMarquardtLockstep, each
+/// residual round one SimulateSivBatchInto call over the waiting points,
+/// against the same K fits solved one after another: bit-identity of
+/// every result, and the speedup.
+void AddLmLockstepMetrics(bench::BenchJson* json) {
+  constexpr size_t kTicks = 104;
+  constexpr size_t kProblems = 4;
+  constexpr int kInner = 20;
+  struct Problem {
+    std::vector<double> data;
+    std::vector<double> eps;
+    std::vector<double> initial;
+    LmOptions options;
+  };
+  std::vector<size_t> observed(kTicks);
+  std::iota(observed.begin(), observed.end(), size_t{0});
+  Bounds bounds;
+  bounds.lower = {50.0, 1e-3, 1e-3, 1e-3, 0.1};
+  bounds.upper = {2000.0, 3.0, 1.0, 1.0, 20.0};
+  std::vector<Problem> problems(kProblems);
+  for (size_t k = 0; k < kProblems; ++k) {
+    const double f = static_cast<double>(k);
+    Problem& pr = problems[k];
+    pr.eps.assign(kTicks, 1.0);
+    for (size_t t = 20 + 15 * k; t < 23 + 15 * k; ++t) pr.eps[t] = 6.0;
+    pr.data.resize(kTicks);
+    kernels::SimulateSivScalarInto({250.0 + 80.0 * f, 0.5 + 0.1 * f, 0.4,
+                                    0.3 - 0.05 * f, 1.0 + f},
+                                   pr.eps, {}, pr.data);
+    for (size_t t = 0; t < kTicks; ++t) {
+      pr.data[t] += 0.5 * std::sin(0.7 * static_cast<double>(t) + f);
+    }
+    pr.initial = {200.0, 0.4 + 0.1 * f, 0.3, 0.2, 2.0};
+    pr.options.normal_equations =
+        [eps = std::span<const double>(pr.eps), &observed](
+            std::span<const double> p, std::span<const double> r, Matrix* jtj,
+            std::span<double> jtr) -> Status {
+      kernels::SivNormalEquationsInto({p[0], p[1], p[2], p[3], p[4]}, eps, {},
+                                      observed, r, kTicks, jtj->MutableData(),
+                                      jtr.data());
+      return Status::Ok();
+    };
+  }
+  std::vector<double> sim(kTicks);
+  const auto residuals_of = [&](size_t k, std::span<const double> sim_k,
+                                std::span<double> r) {
+    for (size_t t = 0; t < kTicks; ++t) r[t] = sim_k[t] - problems[k].data[t];
+  };
+  std::vector<LmWorkspace> workspaces(kProblems);
+  const auto serial = [&] {
+    std::vector<StatusOr<LmResult>> results;
+    for (size_t k = 0; k < kProblems; ++k) {
+      ResidualIntoFn fn = [&, k](std::span<const double> p,
+                                 std::span<double> r) {
+        kernels::SimulateSivScalarInto({p[0], p[1], p[2], p[3], p[4]},
+                                       problems[k].eps, {}, sim);
+        residuals_of(k, sim, r);
+        return Status::Ok();
+      };
+      results.push_back(LevenbergMarquardt(fn, kTicks, problems[k].initial,
+                                           bounds, problems[k].options,
+                                           &workspaces[k]));
+    }
+    return results;
+  };
+  std::vector<double> soa(5 * kProblems), eps_soa(kTicks * kProblems),
+      out(kTicks * kProblems);
+  const auto lockstep = [&] {
+    std::vector<LmProblem> group;
+    for (size_t k = 0; k < kProblems; ++k) {
+      group.push_back({problems[k].initial, kTicks, &bounds,
+                       &problems[k].options, &workspaces[k]});
+    }
+    return LevenbergMarquardtLockstep(
+        group, [&](std::span<LmResidualRequest> requests) {
+          const size_t lanes = requests.size();
+          for (size_t l = 0; l < lanes; ++l) {
+            for (size_t p = 0; p < 5; ++p) {
+              soa[p * lanes + l] = requests[l].params[p];
+            }
+            for (size_t t = 0; t < kTicks; ++t) {
+              eps_soa[t * lanes + l] = problems[requests[l].problem].eps[t];
+            }
+          }
+          const double* q = soa.data();
+          const kernels::SivBatchSoA batch{
+              q,          q + lanes,  q + 2 * lanes, q + 3 * lanes,
+              q + 4 * lanes, eps_soa.data(), nullptr};
+          kernels::SimulateSivBatchInto(batch, lanes, kTicks, out.data());
+          for (size_t l = 0; l < lanes; ++l) {
+            for (size_t t = 0; t < kTicks; ++t) sim[t] = out[t * lanes + l];
+            residuals_of(requests[l].problem, sim, requests[l].residuals);
+          }
+        });
+  };
+  const std::vector<StatusOr<LmResult>> a = serial();
+  const std::vector<StatusOr<LmResult>> b = lockstep();
+  bool bit_identical = a.size() == b.size();
+  for (size_t k = 0; bit_identical && k < a.size(); ++k) {
+    bit_identical = a[k].ok() && b[k].ok() && a[k]->params == b[k]->params &&
+                    a[k]->final_cost == b[k]->final_cost &&
+                    a[k]->iterations == b[k]->iterations &&
+                    a[k]->health.restarts == b[k]->health.restarts &&
+                    a[k]->health.termination == b[k]->health.termination;
+  }
+  const double serial_secs = BestSeconds(5, [&] {
+    for (int it = 0; it < kInner; ++it) benchmark::DoNotOptimize(serial());
+  });
+  const double lockstep_secs = BestSeconds(5, [&] {
+    for (int it = 0; it < kInner; ++it) benchmark::DoNotOptimize(lockstep());
+  });
+  const double speedup = serial_secs / lockstep_secs;
+  json->Set("lm_lockstep_speedup", speedup);
+  json->Set("lm_lockstep_bit_identical", bit_identical ? 1.0 : 0.0);
+  std::printf(
+      "kernel: LM lock-step x%zu vs serial  speedup %.2fx  bit-identical %s\n",
+      kProblems, speedup, bit_identical ? "yes" : "NO");
+}
+
 void WriteKernelReport() {
   bench::BenchJson json("micro");
   json.Set("simd_isa", std::string(kernels::SimdIsaName()));
   json.Set("simd_lanes", static_cast<double>(kernels::SimdNumLanes()));
   AddSivBatchMetrics(&json);
+  AddSivBatchLanesCost(&json);
   AddSivNormalEquationsMetrics(&json);
   AddSivResumeMetrics(&json);
   AddReduceMetrics(&json);
   AddLmJacobianMetrics(&json);
+  AddLmLockstepMetrics(&json);
   if (json.WriteTo("BENCH_micro.json")) {
     std::printf("wrote BENCH_micro.json\n");
   }

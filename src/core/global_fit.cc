@@ -1,6 +1,7 @@
 #include "core/global_fit.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -38,13 +39,17 @@ struct FitState {
 };
 
 /// Per-keyword scratch threaded through every helper below: the schedule
-/// cache, the LM workspace, and the simulation / residual-index buffers.
+/// cache, the LM workspaces, and the simulation / residual-index buffers.
 /// One instance per FitGlobalSequence call and one per shock-candidate
 /// task (FitCandidate), so the alternation loop stays allocation-free once
 /// warm without sharing mutable state across threads.
 struct FitScratch {
   ScheduleCache schedules;
-  LmWorkspace lm;
+  /// One workspace per solve of a lock-step group (FitBaseParamsLockstep).
+  std::vector<LmWorkspace> lm;
+  /// Each state's eps / eta of a lock-step group, built once per group.
+  std::vector<std::vector<double>> lane_eps;
+  std::vector<std::vector<double>> lane_eta;
   std::vector<double> estimate;
   std::vector<size_t> observed;
   /// TailScan buffers: the scanned trajectory (shared prefix plus the
@@ -52,8 +57,10 @@ struct FitScratch {
   std::vector<double> scan_estimate;
   std::vector<double> eps_tail;
   std::vector<double> eta_tail;
-  /// TailScan batch buffers: SoA schedules and output ([step * lanes +
-  /// lane]) and the per-lane rates and start state (7 arrays of `lanes`).
+  /// SIMD-lane buffers of TailScan batches and of lock-step LM residual
+  /// rounds (never live at once): SoA schedules and output ([tick * lanes
+  /// + lane]) and per-lane scalars (TailScan: rates and start state, 7
+  /// arrays of `lanes`; LM: the five SIV parameters, 5 arrays).
   std::vector<double> batch_eps;
   std::vector<double> batch_eta;
   std::vector<double> batch_out;
@@ -280,110 +287,220 @@ class TailScan {
   RmseAccumulator prefix_rmse_;
 };
 
-/// LM fit of the continuous base parameters {N, beta, delta, gamma, i0}
-/// with shocks and growth held fixed. Multi-start on the first round.
-/// Numerical failures of individual starts are recoverable (the next
-/// start may succeed) and are skipped; anything else — cancellation,
-/// injected internal faults — aborts the fit and propagates.
-Status FitBaseParams(FitState* state, bool multi_start, FitScratch* scratch) {
+bool AllFinite(std::span<const double> xs) {
+  return std::all_of(xs.begin(), xs.end(),
+                     [](double x) { return std::isfinite(x); });
+}
+
+/// LM fits of the continuous base parameters {N, beta, delta, gamma, i0}
+/// of one or more states, with shocks and growth held fixed, run as one
+/// lock-step group (LevenbergMarquardtLockstep). Each state gets the four
+/// multi-start points, or its current parameters, and statuses[k] is the
+/// verdict on states[k]: numerical failures of individual starts are
+/// recoverable (the next start may succeed) and are skipped; anything
+/// else — cancellation, injected internal faults — is the state's status,
+/// the first in start order. Restarts and the strict `final_cost <
+/// best_cost` choice are read in start order too, so every state ends as
+/// a serial run of its starts would leave it. The states are copies of one
+/// keyword's state (same data).
+///
+/// Every residual round simulates the waiting trial points as SIMD lanes
+/// of kernels::SimulateSivBatchInto: lane k is solve k, whose schedules
+/// are packed once for the group. Lanes give SimulateSivInto's bits for
+/// finite inputs, so a point with non-finite parameters or schedules runs
+/// SimulateSivInto itself, as does a lone finite point (one scalar run is
+/// cheaper than a padded vector).
+void FitBaseParamsLockstep(std::span<FitState* const> states,
+                           bool multi_start, FitScratch* scratch,
+                           std::span<Status> statuses) {
   DSPOT_SPAN("global_fit.base_lm");
-  const double peak = state->peak;
-  // Shocks and growth are held fixed here, so both schedules can be
-  // materialized once for the whole solve instead of per residual call;
-  // nothing below touches the cache, so the views stay valid. Only the
-  // five scalar dynamics vary between evaluations.
-  const std::span<const double> epsilon =
-      scratch->schedules.GlobalEpsilon(state->shocks, state->keyword,
-                                       state->n);
-  const std::span<const double> eta =
-      state->params.has_growth()
-          ? scratch->schedules.Eta(state->params.growth_rate,
-                                   state->params.growth_start, state->n)
-          : std::span<const double>();
-  std::vector<size_t>& observed = scratch->observed;
+  FitScratch& sc = *scratch;
+  const FitState& first = *states.front();
+  const size_t n = first.n;
+  const double peak = first.peak;
+  const Series& data = first.data;
+  std::vector<size_t>& observed = sc.observed;
   observed.clear();
-  for (size_t t = 0; t < state->n; ++t) {
-    if (state->data.IsObserved(t)) observed.push_back(t);
+  for (size_t t = 0; t < n; ++t) {
+    if (data.IsObserved(t)) observed.push_back(t);
   }
-  std::vector<double>& estimate = scratch->estimate;
-  estimate.resize(state->n);
-  const Series& data = state->data;
-  auto residual_fn = [&](std::span<const double> p,
-                         std::span<double> r) -> Status {
-    const SivDynamics dynamics{p[0], p[1], p[2], p[3], p[4]};
-    SimulateSivInto(dynamics, epsilon, eta, estimate);
-    for (size_t k = 0; k < observed.size(); ++k) {
-      const size_t t = observed[k];
-      r[k] = estimate[t] - data[t];
-    }
-    return Status::Ok();
-  };
   // N must exceed the observed peak: I(t) <= N always, so a smaller N
   // would make the spikes unreachable for any shock strength.
   Bounds bounds;
   bounds.lower = {peak * 1.05, 1e-4, 1e-4, 1e-4, 1e-6};
   bounds.upper = {peak * 300.0, 5.0, 1.0, 1.0, peak};
 
-  // Normal equations J^T J and J^T r with J_k = dI(observed[k])/d{N, beta,
-  // delta, gamma, i0}, from one tangent-linear pass over the recurrence —
-  // replacing the five re-simulations per LM iteration of a numeric
-  // Jacobian and the separate Gram / J^T r passes over it.
-  const auto normal_equations = [&, n = state->n](
-                                    std::span<const double> p,
-                                    std::span<const double> r, Matrix* jtj,
-                                    std::span<double> jtr) -> Status {
-    const kernels::SivParams sp{p[0], p[1], p[2], p[3], p[4]};
-    kernels::SivNormalEquationsInto(sp, epsilon, eta, observed, r, n,
-                                    jtj->MutableData(), jtr.data());
+  // Each state's schedules, materialized once for all its solves (only
+  // the five scalar dynamics vary between evaluations). They are built
+  // into the lane buffers rather than taken from the cache, whose one
+  // epsilon slot holds one shock set.
+  const size_t num_states = states.size();
+  if (sc.lane_eps.size() < num_states) {
+    sc.lane_eps.resize(num_states);
+    sc.lane_eta.resize(num_states);
+  }
+  std::vector<LmOptions> options(num_states);
+  for (size_t s = 0; s < num_states; ++s) {
+    const FitState& state = *states[s];
+    BuildGlobalEpsilonInto(state.shocks, state.keyword, n, &sc.lane_eps[s]);
+    BuildEtaInto(state.params.growth_rate, state.params.growth_start, n,
+                 &sc.lane_eta[s]);
+    // Normal equations J^T J and J^T r with J_k = dI(observed[k])/d{N,
+    // beta, delta, gamma, i0}, from one tangent-linear pass over the
+    // recurrence — replacing the five re-simulations per LM iteration of
+    // a numeric Jacobian and the separate Gram / J^T r passes over it.
+    options[s].guard = state.guard;
+    options[s].normal_equations =
+        [epsilon = std::span<const double>(sc.lane_eps[s]),
+         eta = std::span<const double>(sc.lane_eta[s]), &observed,
+         n](std::span<const double> p, std::span<const double> r,
+            Matrix* jtj, std::span<double> jtr) -> Status {
+      const kernels::SivParams sp{p[0], p[1], p[2], p[3], p[4]};
+      kernels::SivNormalEquationsInto(sp, epsilon, eta, observed, r, n,
+                                      jtj->MutableData(), jtr.data());
+      return Status::Ok();
+    };
+  }
+
+  const std::array<std::array<double, 5>, 4> multi_starts = {{
+      {peak * 2.0, 0.3, 0.1, 0.05, 1.0},
+      {peak * 2.0, 0.6, 0.4, 0.2, 1.0},
+      {peak * 5.0, 0.9, 0.7, 0.5, peak * 0.01},
+      {peak * 1.5, 0.2, 0.5, 0.1, peak * 0.05},
+  }};
+  const size_t starts_per_state = multi_start ? multi_starts.size() : 1;
+  const size_t lanes = num_states * starts_per_state;
+  std::vector<std::array<double, 5>> starts(lanes);
+  for (size_t k = 0; k < lanes; ++k) {
+    const KeywordGlobalParams& p = states[k / starts_per_state]->params;
+    starts[k] = multi_start ? multi_starts[k % starts_per_state]
+                            : std::array<double, 5>{p.population, p.beta,
+                                                    p.delta, p.gamma, p.i0};
+  }
+  if (sc.lm.size() < lanes) sc.lm.resize(lanes);
+  std::vector<LmProblem> problems(lanes);
+  for (size_t k = 0; k < lanes; ++k) {
+    problems[k] = {starts[k], observed.size(), &bounds,
+                   &options[k / starts_per_state], &sc.lm[k]};
+  }
+
+  // Lane k of the batch buffers is solve k: its state's schedules are
+  // packed here once, its parameters in every round it waits in. SIMD
+  // min/max pick differently from std::clamp only around NaN, so a state
+  // with non-finite schedules keeps its solves out of the batch.
+  bool any_eta = false;
+  std::vector<char> finite_schedules(num_states);
+  for (size_t s = 0; s < num_states; ++s) {
+    any_eta = any_eta || !sc.lane_eta[s].empty();
+    finite_schedules[s] = AllFinite(sc.lane_eps[s]) && AllFinite(sc.lane_eta[s]);
+  }
+  if (lanes > 1) {
+    sc.batch_eps.resize(n * lanes);
+    sc.batch_eta.assign(any_eta ? n * lanes : 0, 0.0);
+    sc.batch_out.resize(n * lanes);
+    sc.batch_lanes.resize(kernels::kSivNumParams * lanes);
+    for (size_t k = 0; k < lanes; ++k) {
+      const size_t s = k / starts_per_state;
+      for (size_t t = 0; t < n; ++t) {
+        sc.batch_eps[t * lanes + k] = sc.lane_eps[s][t];
+      }
+      for (size_t t = 0; t < sc.lane_eta[s].size(); ++t) {
+        sc.batch_eta[t * lanes + k] = sc.lane_eta[s][t];
+      }
+      for (size_t p = 0; p < kernels::kSivNumParams; ++p) {
+        sc.batch_lanes[p * lanes + k] = starts[k][p];
+      }
+    }
+  }
+  const double* lane = sc.batch_lanes.data();
+  const kernels::SivBatchSoA batch{lane,
+                                   lane + lanes,
+                                   lane + 2 * lanes,
+                                   lane + 3 * lanes,
+                                   lane + 4 * lanes,
+                                   sc.batch_eps.data(),
+                                   any_eta ? sc.batch_eta.data() : nullptr};
+  const auto batchable = [&](const LmResidualRequest& request) {
+    return lanes > 1 && finite_schedules[request.problem / starts_per_state] &&
+           AllFinite(request.params);
+  };
+  const auto residuals = [&](std::span<LmResidualRequest> requests) {
+    size_t batched = 0;
+    for (const LmResidualRequest& request : requests) {
+      if (!batchable(request)) continue;
+      for (size_t p = 0; p < kernels::kSivNumParams; ++p) {
+        sc.batch_lanes[p * lanes + request.problem] = request.params[p];
+      }
+      ++batched;
+    }
+    if (batched > 1) {
+      kernels::SimulateSivBatchInto(batch, lanes, n, sc.batch_out.data());
+    }
+    for (LmResidualRequest& request : requests) {
+      std::span<double> r = request.residuals;
+      if (batched > 1 && batchable(request)) {
+        for (size_t k = 0; k < observed.size(); ++k) {
+          const size_t t = observed[k];
+          r[k] = sc.batch_out[t * lanes + request.problem] - data[t];
+        }
+        continue;
+      }
+      const std::span<const double> p = request.params;
+      const size_t s = request.problem / starts_per_state;
+      SimulateSivInto({p[0], p[1], p[2], p[3], p[4]}, sc.lane_eps[s],
+                      sc.lane_eta[s], sc.estimate);
+      for (size_t k = 0; k < observed.size(); ++k) {
+        const size_t t = observed[k];
+        r[k] = sc.estimate[t] - data[t];
+      }
+    }
+  };
+  sc.estimate.resize(n);
+  std::vector<StatusOr<LmResult>> fits =
+      LevenbergMarquardtLockstep(problems, residuals);
+
+  const auto verdict = [&](size_t s) -> Status {
+    FitState* state = states[s];
+    double best_cost = std::numeric_limits<double>::infinity();
+    KeywordGlobalParams best = state->params;
+    for (size_t j = 0; j < starts_per_state; ++j) {
+      const StatusOr<LmResult>& fit = fits[s * starts_per_state + j];
+      if (!fit.ok()) {
+        const StatusCode code = fit.status().code();
+        if (code == StatusCode::kNumericalError ||
+            code == StatusCode::kInvalidArgument) {
+          continue;  // recoverable per-start failure; try the next start
+        }
+        return fit.status();
+      }
+      if (state->health) {
+        state->health->restarts += fit->health.restarts;
+      }
+      if (fit->final_cost < best_cost) {
+        best_cost = fit->final_cost;
+        best.population = fit->params[0];
+        best.beta = fit->params[1];
+        best.delta = fit->params[2];
+        best.gamma = fit->params[3];
+        best.i0 = fit->params[4];
+        best.growth_rate = state->params.growth_rate;
+        best.growth_start = state->params.growth_start;
+      }
+    }
+    if (std::isfinite(best_cost)) {
+      state->params = best;
+    }
     return Status::Ok();
   };
+  for (size_t s = 0; s < num_states; ++s) statuses[s] = verdict(s);
+}
 
-  std::vector<std::vector<double>> starts;
-  if (multi_start) {
-    starts = {
-        {peak * 2.0, 0.3, 0.1, 0.05, 1.0},
-        {peak * 2.0, 0.6, 0.4, 0.2, 1.0},
-        {peak * 5.0, 0.9, 0.7, 0.5, peak * 0.01},
-        {peak * 1.5, 0.2, 0.5, 0.1, peak * 0.05},
-    };
-  } else {
-    starts = {{state->params.population, state->params.beta,
-               state->params.delta, state->params.gamma, state->params.i0}};
-  }
-  LmOptions lm_options;
-  lm_options.guard = state->guard;
-  lm_options.normal_equations = normal_equations;
-  double best_cost = std::numeric_limits<double>::infinity();
-  KeywordGlobalParams best = state->params;
-  for (const auto& init : starts) {
-    auto fit_or = LevenbergMarquardt(residual_fn, observed.size(), init,
-                                     bounds, lm_options, &scratch->lm);
-    if (!fit_or.ok()) {
-      const StatusCode code = fit_or.status().code();
-      if (code == StatusCode::kNumericalError ||
-          code == StatusCode::kInvalidArgument) {
-        continue;  // recoverable per-start failure; try the next start
-      }
-      return fit_or.status();
-    }
-    if (state->health) {
-      state->health->restarts += fit_or->health.restarts;
-    }
-    if (fit_or->final_cost < best_cost) {
-      best_cost = fit_or->final_cost;
-      best.population = fit_or->params[0];
-      best.beta = fit_or->params[1];
-      best.delta = fit_or->params[2];
-      best.gamma = fit_or->params[3];
-      best.i0 = fit_or->params[4];
-      best.growth_rate = state->params.growth_rate;
-      best.growth_start = state->params.growth_start;
-    }
-  }
-  if (std::isfinite(best_cost)) {
-    state->params = best;
-  }
-  return Status::Ok();
+/// FitBaseParamsLockstep of one state: multi-start on the first round.
+Status FitBaseParams(FitState* state, bool multi_start, FitScratch* scratch) {
+  Status status;
+  FitBaseParamsLockstep(std::span<FitState* const>(&state, 1), multi_start,
+                        scratch, std::span<Status>(&status, 1));
+  return status;
 }
 
 /// Growth-effect search: grid over the onset t_eta, 1-d search over eta_0.
@@ -593,40 +710,55 @@ StatusOr<CandidateFit> FitCandidate(const FitState& state,
   // in the basin) nor a plain multi-start (the basin wins as long as the
   // strengths are zero) escapes — so each start gets a mini-EM: base LM,
   // strength fit, base LM again.
-  std::vector<KeywordGlobalParams> seeds = {probe.params};
-  KeywordGlobalParams seed = probe.params;
-  seed.population = probe.peak * 2.0;
-  seed.beta = 0.5;
-  seed.delta = 0.45;
-  seed.gamma = 0.5;
-  seed.i0 = 1.0;
-  seeds.push_back(seed);
-  seed.beta = 0.9;
-  seed.delta = 0.7;
-  seed.gamma = 0.2;
-  seeds.push_back(seed);
-  FitState best_joint = probe;
-  double best_joint_rmse = std::numeric_limits<double>::infinity();
-  for (const KeywordGlobalParams& start : seeds) {
-    FitState trial = probe;
-    trial.params = start;
-    DSPOT_RETURN_IF_ERROR(
-        FitBaseParams(&trial, /*multi_start=*/false, &scratch));
-    FitShockStrengths(&trial, trial.shocks.size() - 1,
+  //
+  // The seeds run in phases: their first base LMs in lock-step, then each
+  // seed's strengths in seed order, then their second base LMs in
+  // lock-step. The verdict is the serial loop's: it stops at its first
+  // error — the lowest failing seed's, its first LM's before its second's
+  // — so seeds from the lowest first-LM failure on need no more work.
+  std::array<FitState, 3> trials = {probe, probe, probe};
+  trials[1].params.population = probe.peak * 2.0;
+  trials[1].params.beta = 0.5;
+  trials[1].params.delta = 0.45;
+  trials[1].params.gamma = 0.5;
+  trials[1].params.i0 = 1.0;
+  trials[2].params = trials[1].params;
+  trials[2].params.beta = 0.9;
+  trials[2].params.delta = 0.7;
+  trials[2].params.gamma = 0.2;
+  const std::array<FitState*, 3> seeds = {&trials[0], &trials[1], &trials[2]};
+  std::array<Status, 3> first_lm;
+  std::array<Status, 3> second_lm;
+  FitBaseParamsLockstep(seeds, /*multi_start=*/false, &scratch, first_lm);
+  size_t live = 0;
+  while (live < seeds.size() && first_lm[live].ok()) ++live;
+  for (size_t k = 0; k < live; ++k) {
+    FitShockStrengths(seeds[k], seeds[k]->shocks.size() - 1,
                       options.max_shock_strength, &scratch);
-    DSPOT_RETURN_IF_ERROR(
-        FitBaseParams(&trial, /*multi_start=*/false, &scratch));
-    const double trial_rmse = StateRmse(trial, &scratch);
+  }
+  if (live > 0) {
+    FitBaseParamsLockstep(std::span<FitState* const>(seeds).first(live),
+                          /*multi_start=*/false, &scratch,
+                          std::span<Status>(second_lm).first(live));
+  }
+  for (size_t k = 0; k < live; ++k) {
+    DSPOT_RETURN_IF_ERROR(second_lm[k]);
+  }
+  if (live < seeds.size()) return first_lm[live];
+  const FitState* best_joint = &probe;
+  double best_joint_rmse = std::numeric_limits<double>::infinity();
+  for (const FitState* trial : seeds) {
+    const double trial_rmse = StateRmse(*trial, &scratch);
     if (trial_rmse < best_joint_rmse) {
       best_joint_rmse = trial_rmse;
-      best_joint = std::move(trial);
+      best_joint = trial;
     }
   }
   CandidateFit fit;
-  fit.cost = StateCostBits(best_joint, &scratch);
-  fit.rmse = StateRmse(best_joint, &scratch);
-  fit.params = best_joint.params;
-  fit.shocks = std::move(best_joint.shocks);
+  fit.cost = StateCostBits(*best_joint, &scratch);
+  fit.rmse = StateRmse(*best_joint, &scratch);
+  fit.params = best_joint->params;
+  fit.shocks = best_joint->shocks;
   fit.restarts = health.restarts;
   return fit;
 }

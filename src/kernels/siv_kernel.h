@@ -175,7 +175,10 @@ struct SivBatchSoA {
 /// sequence as SimulateSivScalarInto, so per-lane outputs are
 /// BIT-IDENTICAL to the scalar kernel for finite inputs (see the policy
 /// in dspot_simd.h; NaN/inf schedules are outside the contract because
-/// SIMD min/max NaN semantics differ from std::clamp's).
+/// SIMD min/max NaN semantics differ from std::clamp's). The count %
+/// kNumLanes remainder lanes run as one more vector, padded with copies of
+/// the last lane whose outputs are dropped, so a batch of up to kNumLanes
+/// lanes costs about one scalar run.
 void SimulateSivBatchInto(const SivBatchSoA& batch, size_t count,
                           size_t n_ticks, double* out);
 

@@ -1,6 +1,7 @@
 #ifndef DSPOT_OPTIMIZE_LEVENBERG_MARQUARDT_H_
 #define DSPOT_OPTIMIZE_LEVENBERG_MARQUARDT_H_
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -86,11 +87,41 @@ struct LmResult {
   FitHealth health;
 };
 
-/// Scratch storage for the workspace-based LevenbergMarquardt overload.
-/// One workspace serves any sequence of solves (sizes may vary between
-/// solves); buffers retain capacity, so repeated solves of same-shaped
-/// problems — and every iteration within one solve — allocate nothing.
-/// Not thread-safe: concurrent solves need one workspace per worker.
+/// What a resumable solve waits for between LevenbergMarquardtLockstep's
+/// rounds.
+enum class LmWait { kResiduals, kNormalEquations, kDone };
+
+/// The scalar state of a resumable solve between LevenbergMarquardtLockstep's
+/// rounds; levenberg_marquardt.cc alone reads and writes it.
+struct LmSolveState {
+  LmWait wait = LmWait::kDone;
+  /// The awaited residuals are a trial step's, not an attempt's start's.
+  bool trial = false;
+  /// A start point had a finite cost (best_p / best_cost are set).
+  bool have_best = false;
+  bool stopped_by_guard = false;
+  /// Per attempt: a trial turned divergent / lambda passed its cap.
+  bool diverged = false;
+  bool stalled = false;
+  /// Outer iterations (one set of normal equations each), budgeted across
+  /// attempts, and divergence-recovery attempts taken.
+  int outer_iters = 0;
+  int attempt = 0;
+  double cost = 0.0;
+  double best_cost = 0.0;
+  double lambda = 0.0;
+  std::chrono::steady_clock::time_point start_time;
+  /// The error that ended the solve, or OK.
+  Status status;
+  LmResult result;
+};
+
+/// Scratch storage and state of one resumable solve. One workspace serves
+/// any sequence of solves (sizes may vary between solves); buffers retain
+/// capacity, so repeated solves of same-shaped problems — and every
+/// iteration within one solve — allocate nothing.
+/// Not thread-safe: concurrent solves need one workspace per worker, and
+/// the problems of one lock-step group one workspace each.
 struct LmWorkspace {
   std::vector<double> p;
   std::vector<double> r;
@@ -109,7 +140,54 @@ struct LmWorkspace {
   Matrix jtj;
   Matrix damped;
   LdltWorkspace ldlt;
+  LmSolveState state;
 };
+
+/// One problem of a lock-step group: a solve from `initial` (clamped into
+/// `*bounds`) under `*options`, with `num_residuals` residuals, whose
+/// scratch and state live in `*workspace`. `bounds` and `options` must be
+/// non-null and, like `initial`, outlive the LevenbergMarquardtLockstep
+/// call.
+struct LmProblem {
+  std::span<const double> initial;
+  size_t num_residuals = 0;
+  const Bounds* bounds = nullptr;
+  const LmOptions* options = nullptr;
+  LmWorkspace* workspace = nullptr;
+};
+
+/// One residual evaluation a lock-step solve waits for: r(params) of
+/// problem `problem` into `residuals` (num_residuals entries, every one to
+/// be written). A non-OK `status` ends that solve with it, as a failing
+/// ResidualIntoFn ends a single solve.
+struct LmResidualRequest {
+  size_t problem = 0;
+  std::span<const double> params;
+  std::span<double> residuals;
+  Status status;
+};
+
+/// Serves one round of residual requests: at most one per problem, in
+/// problem order, all independent — so one call may evaluate them
+/// together, e.g. as SIMD lanes. Residual functions must be deterministic.
+using LmBatchResidualFn =
+    std::function<void(std::span<LmResidualRequest> requests)>;
+
+/// Runs independent Levenberg-Marquardt solves in lock-step and returns
+/// problem k's outcome in slot k. Each solve is resumable: it asks for one
+/// thing at a time, the residuals at a point or the normal equations at
+/// its iterate. Every round, one `residuals` call serves every solve that
+/// waits for residuals, then each solve that waits for normal equations
+/// gets its own `options->normal_equations` call (or forward-difference
+/// Jacobian, whose probes are one-request `residuals` calls), inside one
+/// `lm.jacobian` span each. Restarts, guard checks, fault-injection draws,
+/// counters (`lm.solves`, `lm.iterations`, ...) and the result stay per
+/// problem, so each problem's outcome is that of a LevenbergMarquardt
+/// call on it alone, bit for bit; only the global order of fault draws
+/// interleaves. One `lm.solve` span covers the call.
+std::vector<StatusOr<LmResult>> LevenbergMarquardtLockstep(
+    std::span<const LmProblem> problems,
+    const LmBatchResidualFn& residuals);
 
 /// Minimizes 0.5 * ||r(p)||^2 with the Levenberg-Marquardt algorithm
 /// (Levenberg 1944, as cited by the paper), using a forward-difference
@@ -125,11 +203,12 @@ StatusOr<LmResult> LevenbergMarquardt(const ResidualFn& residual_fn,
                                       const Bounds& bounds = Bounds(),
                                       const LmOptions& options = LmOptions());
 
-/// Workspace-based core: the residual function writes into a caller-sized
+/// Workspace-based form: the residual function writes into a caller-sized
 /// buffer of `num_residuals` entries and all solver scratch lives in
 /// `*workspace`, so iterations allocate nothing once the workspace is warm.
-/// Runs the exact same floating-point sequence as the allocating overload
-/// (which is now an adapter over this one), so results are bit-identical.
+/// It is LevenbergMarquardtLockstep over this one problem, whose rounds
+/// call `residual_fn` once; the allocating overload above adapts to it, so
+/// all three run the same floating-point sequence.
 StatusOr<LmResult> LevenbergMarquardt(const ResidualIntoFn& residual_fn,
                                       size_t num_residuals,
                                       const std::vector<double>& initial,

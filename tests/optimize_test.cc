@@ -3,12 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "common/random.h"
+#include "kernels/siv_kernel.h"
 #include "optimize/levenberg_marquardt.h"
 #include "optimize/line_search.h"
 #include "optimize/nelder_mead.h"
@@ -142,6 +144,237 @@ INSTANTIATE_TEST_SUITE_P(
     ParamGrid, LmExponentialRecovery,
     ::testing::Combine(::testing::Values(0.5, 2.0, 10.0),
                        ::testing::Values(0.1, 0.7, 2.5)));
+
+// --- Lock-step LM (LevenbergMarquardtLockstep) ---------------------------
+
+/// One SIV fit for the lock-step tests: data from planted parameters and a
+/// shock schedule, a start, and options. Residuals at exactly `poisoned`
+/// are NaN, so a start placed there has a non-finite initial cost.
+struct SivLmCase {
+  std::vector<double> data;
+  std::vector<double> eps;
+  std::vector<size_t> observed;
+  std::vector<double> initial;
+  std::vector<double> poisoned;
+  Bounds bounds;
+  LmOptions options;
+};
+
+constexpr size_t kSivTicks = 80;
+
+SivLmCase MakeSivCase(const kernels::SivParams& truth, size_t shock_at,
+                      std::vector<double> initial) {
+  SivLmCase c;
+  c.eps.assign(kSivTicks, 1.0);
+  for (size_t t = shock_at; t < shock_at + 3; ++t) c.eps[t] = 6.0;
+  c.data.resize(kSivTicks);
+  kernels::SimulateSivScalarInto(truth, c.eps, {}, c.data);
+  for (size_t t = 0; t < kSivTicks; ++t) {
+    c.data[t] += 0.5 * std::sin(0.7 * static_cast<double>(t));
+    c.observed.push_back(t);
+  }
+  c.initial = std::move(initial);
+  c.bounds.lower = {50.0, 1e-3, 1e-3, 1e-3, 0.1};
+  c.bounds.upper = {2000.0, 3.0, 1.0, 1.0, 20.0};
+  return c;
+}
+
+/// Fills the residuals of `c` at `p` from a simulated trajectory `sim`.
+void SivCaseResiduals(const SivLmCase& c, std::span<const double> p,
+                      std::span<const double> sim, std::span<double> r) {
+  const bool poisoned = std::equal(p.begin(), p.end(), c.poisoned.begin(),
+                                   c.poisoned.end());
+  for (size_t t = 0; t < kSivTicks; ++t) {
+    r[t] = poisoned ? std::numeric_limits<double>::quiet_NaN()
+                    : sim[t] - c.data[t];
+  }
+}
+
+/// The serial LevenbergMarquardt call on `c` alone.
+StatusOr<LmResult> SolveSerially(const SivLmCase& c) {
+  std::vector<double> sim(kSivTicks);
+  ResidualIntoFn fn = [&](std::span<const double> p, std::span<double> r) {
+    kernels::SimulateSivScalarInto({p[0], p[1], p[2], p[3], p[4]}, c.eps, {},
+                                   sim);
+    SivCaseResiduals(c, p, sim, r);
+    return Status::Ok();
+  };
+  LmWorkspace ws;
+  return LevenbergMarquardt(fn, kSivTicks, c.initial, c.bounds, c.options,
+                            &ws);
+}
+
+/// The cases through LevenbergMarquardtLockstep, every residual round one
+/// SimulateSivBatchInto call with the waiting points as lanes.
+std::vector<StatusOr<LmResult>> SolveInLockstep(
+    const std::vector<SivLmCase>& cases, size_t* max_lanes = nullptr) {
+  std::vector<LmWorkspace> workspaces(cases.size());
+  std::vector<LmProblem> problems;
+  for (size_t k = 0; k < cases.size(); ++k) {
+    problems.push_back({cases[k].initial, kSivTicks, &cases[k].bounds,
+                        &cases[k].options, &workspaces[k]});
+  }
+  const auto batch = [&](std::span<LmResidualRequest> requests) {
+    const size_t lanes = requests.size();
+    if (max_lanes != nullptr) *max_lanes = std::max(*max_lanes, lanes);
+    std::vector<double> soa(5 * lanes), eps(kSivTicks * lanes),
+        out(kSivTicks * lanes), sim(kSivTicks);
+    for (size_t l = 0; l < lanes; ++l) {
+      for (size_t p = 0; p < 5; ++p) {
+        soa[p * lanes + l] = requests[l].params[p];
+      }
+      for (size_t t = 0; t < kSivTicks; ++t) {
+        eps[t * lanes + l] = cases[requests[l].problem].eps[t];
+      }
+    }
+    const kernels::SivBatchSoA soa_batch{
+        soa.data(),             soa.data() + lanes, soa.data() + 2 * lanes,
+        soa.data() + 3 * lanes, soa.data() + 4 * lanes, eps.data(),
+        nullptr};
+    kernels::SimulateSivBatchInto(soa_batch, lanes, kSivTicks, out.data());
+    for (size_t l = 0; l < lanes; ++l) {
+      for (size_t t = 0; t < kSivTicks; ++t) sim[t] = out[t * lanes + l];
+      SivCaseResiduals(cases[requests[l].problem], requests[l].params, sim,
+                       requests[l].residuals);
+    }
+  };
+  return LevenbergMarquardtLockstep(problems, batch);
+}
+
+/// Five fits that end differently: converged with the fused normal
+/// equations, a restart from a non-finite initial cost, a stall at
+/// max_lambda, max_iterations, and converged on the numeric Jacobian.
+std::vector<SivLmCase> LockstepCases() {
+  std::vector<SivLmCase> cases;
+  cases.push_back(MakeSivCase({300.0, 0.5, 0.4, 0.3, 1.0}, 20,
+                              {200.0, 0.4, 0.3, 0.2, 2.0}));
+  cases.push_back(MakeSivCase({500.0, 0.7, 0.5, 0.2, 2.0}, 35,
+                              {400.0, 0.6, 0.6, 0.3, 1.0}));
+  cases.back().poisoned = cases.back().initial;
+  cases.push_back(MakeSivCase({250.0, 0.6, 0.45, 0.5, 1.5}, 50,
+                              {150.0, 0.3, 0.2, 0.4, 3.0}));
+  cases.back().options.max_lambda = cases.back().options.initial_lambda;
+  cases.push_back(MakeSivCase({800.0, 0.9, 0.7, 0.1, 4.0}, 10,
+                              {600.0, 0.5, 0.5, 0.5, 1.0}));
+  cases.back().options.max_iterations = 4;
+  cases.push_back(MakeSivCase({350.0, 0.55, 0.35, 0.25, 1.2}, 60,
+                              {330.0, 0.5, 0.3, 0.2, 1.0}));
+  for (size_t k : {2ul, 3ul}) {
+    cases[k].options.cost_tolerance = 0.0;
+    cases[k].options.step_tolerance = 0.0;
+    cases[k].options.gradient_tolerance = 0.0;
+  }
+  // All but the last use the fused normal equations.
+  for (size_t k = 0; k + 1 < cases.size(); ++k) {
+    cases[k].options.normal_equations =
+        [eps = cases[k].eps, observed = cases[k].observed](
+            std::span<const double> p, std::span<const double> r,
+            Matrix* jtj, std::span<double> jtr) {
+          kernels::SivNormalEquationsInto({p[0], p[1], p[2], p[3], p[4]}, eps,
+                                          {}, observed, r, kSivTicks,
+                                          jtj->MutableData(), jtr.data());
+          return Status::Ok();
+        };
+  }
+  return cases;
+}
+
+TEST(LmLockstep, EveryProblemMatchesItsSerialSolveBitForBit) {
+  const std::vector<SivLmCase> all = LockstepCases();
+  for (size_t count = 1; count <= all.size(); ++count) {
+    const std::vector<SivLmCase> cases(all.begin(), all.begin() + count);
+    size_t max_lanes = 0;
+    const std::vector<StatusOr<LmResult>> lockstep =
+        SolveInLockstep(cases, &max_lanes);
+    ASSERT_EQ(lockstep.size(), count);
+    EXPECT_EQ(max_lanes, count);
+    for (size_t k = 0; k < count; ++k) {
+      const StatusOr<LmResult> serial = SolveSerially(cases[k]);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      ASSERT_TRUE(lockstep[k].ok()) << lockstep[k].status().ToString();
+      const LmResult& a = *serial;
+      const LmResult& b = *lockstep[k];
+      EXPECT_EQ(a.params, b.params) << "count " << count << " problem " << k;
+      EXPECT_EQ(a.final_cost, b.final_cost);
+      EXPECT_EQ(a.initial_cost, b.initial_cost);
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.converged, b.converged);
+      EXPECT_EQ(a.health.restarts, b.health.restarts);
+      EXPECT_EQ(a.health.termination, b.health.termination);
+    }
+  }
+}
+
+TEST(LmLockstep, CasesCoverRestartStallAndIterationCap) {
+  const std::vector<StatusOr<LmResult>> results =
+      SolveInLockstep(LockstepCases());
+  ASSERT_EQ(results.size(), 5u);
+  for (const StatusOr<LmResult>& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  EXPECT_EQ(results[0]->health.termination, FitTermination::kConverged);
+  EXPECT_EQ(results[1]->health.restarts, 1);
+  EXPECT_TRUE(std::isfinite(results[1]->final_cost));
+  EXPECT_EQ(results[2]->health.termination, FitTermination::kStalled);
+  EXPECT_EQ(results[3]->health.termination, FitTermination::kMaxIterations);
+  EXPECT_EQ(results[3]->iterations, 4);
+  EXPECT_EQ(results[4]->health.termination, FitTermination::kConverged);
+  // The iteration counts differ, so solves leave the group at different
+  // rounds.
+  EXPECT_NE(results[0]->iterations, results[1]->iterations);
+  EXPECT_NE(results[0]->iterations, results[2]->iterations);
+  EXPECT_NE(results[0]->iterations, results[4]->iterations);
+}
+
+TEST(LmLockstep, CancelledTokenEndsEverySolve) {
+  std::vector<SivLmCase> cases = LockstepCases();
+  const CancellationToken token = CancellationToken::Cancellable();
+  token.Cancel();
+  for (SivLmCase& c : cases) c.options.guard.cancel = token;
+  const std::vector<StatusOr<LmResult>> results = SolveInLockstep(cases);
+  ASSERT_EQ(results.size(), cases.size());
+  for (const StatusOr<LmResult>& result : results) {
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status().ToString();
+  }
+}
+
+TEST(LmLockstep, InvalidProblemsFailAloneAndResidualErrorsStayPerProblem) {
+  std::vector<SivLmCase> cases = LockstepCases();
+  cases.resize(3);
+  cases[1].initial.clear();
+  std::vector<LmWorkspace> workspaces(cases.size());
+  std::vector<LmProblem> problems;
+  for (size_t k = 0; k < cases.size(); ++k) {
+    problems.push_back({cases[k].initial, kSivTicks, &cases[k].bounds,
+                        &cases[k].options, &workspaces[k]});
+  }
+  problems.push_back({cases[0].initial, kSivTicks, &cases[0].bounds,
+                      &cases[0].options, nullptr});
+  std::vector<double> sim(kSivTicks);
+  const auto batch = [&](std::span<LmResidualRequest> requests) {
+    for (LmResidualRequest& request : requests) {
+      if (request.problem == 2) {
+        request.status = Status::Internal("residuals unavailable");
+        continue;
+      }
+      const SivLmCase& c = cases[request.problem];
+      const std::span<const double> p = request.params;
+      kernels::SimulateSivScalarInto({p[0], p[1], p[2], p[3], p[4]}, c.eps,
+                                     {}, sim);
+      SivCaseResiduals(c, p, sim, request.residuals);
+    }
+  };
+  const std::vector<StatusOr<LmResult>> results =
+      LevenbergMarquardtLockstep(problems, batch);
+  ASSERT_EQ(results.size(), 4u);
+  const StatusOr<LmResult> serial = SolveSerially(cases[0]);
+  ASSERT_TRUE(results[0].ok() && serial.ok());
+  EXPECT_EQ(results[0]->params, serial->params);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[2].status().code(), StatusCode::kInternal);
+  EXPECT_EQ(results[3].status().code(), StatusCode::kInvalidArgument);
+}
 
 TEST(NelderMead, MinimizesQuadratic) {
   auto fn = [](const std::vector<double>& p) {
