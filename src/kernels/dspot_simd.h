@@ -80,10 +80,30 @@ struct VecD {
   static VecD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
   void Store(double* p) const { _mm256_storeu_pd(p, v); }
 
+  /// p[0, count) in the first `count` lanes (1 <= count <= kNumLanes) and
+  /// p[count - 1] in the rest, reading nothing past p[count - 1].
+  static VecD LoadFirst(const double* p, size_t count) {
+    const __m256i first = FirstLanes(count);
+    return {_mm256_blendv_pd(_mm256_broadcast_sd(p + count - 1),
+                             _mm256_maskload_pd(p, first),
+                             _mm256_castsi256_pd(first))};
+  }
+  /// Stores the first `count` lanes to p[0, count); writes nothing else.
+  void StoreFirst(double* p, size_t count) const {
+    _mm256_maskstore_pd(p, FirstLanes(count), v);
+  }
+
   friend VecD operator+(VecD a, VecD b) { return {_mm256_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend VecD operator/(VecD a, VecD b) { return {_mm256_div_pd(a.v, b.v)}; }
+
+ private:
+  /// All-ones in lanes [0, count), zero in the rest.
+  static __m256i FirstLanes(size_t count) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(count)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
 };
 
 inline VecD Min(VecD a, VecD b) { return {_mm256_min_pd(a.v, b.v)}; }
@@ -129,6 +149,17 @@ struct VecD {
   static VecD Load(const double* p) { return {_mm_loadu_pd(p)}; }
   void Store(double* p) const { _mm_storeu_pd(p, v); }
 
+  static VecD LoadFirst(const double* p, size_t count) {
+    return count >= 2 ? Load(p) : VecD{_mm_load1_pd(p)};
+  }
+  void StoreFirst(double* p, size_t count) const {
+    if (count >= 2) {
+      Store(p);
+    } else {
+      _mm_store_sd(p, v);
+    }
+  }
+
   friend VecD operator+(VecD a, VecD b) { return {_mm_add_pd(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm_mul_pd(a.v, b.v)}; }
@@ -167,6 +198,17 @@ struct VecD {
   static VecD Splat(double x) { return {vdupq_n_f64(x)}; }
   static VecD Load(const double* p) { return {vld1q_f64(p)}; }
   void Store(double* p) const { vst1q_f64(p, v); }
+
+  static VecD LoadFirst(const double* p, size_t count) {
+    return count >= 2 ? Load(p) : VecD{vld1q_dup_f64(p)};
+  }
+  void StoreFirst(double* p, size_t count) const {
+    if (count >= 2) {
+      Store(p);
+    } else {
+      vst1q_lane_f64(p, v, 0);
+    }
+  }
 
   friend VecD operator+(VecD a, VecD b) { return {vaddq_f64(a.v, b.v)}; }
   friend VecD operator-(VecD a, VecD b) { return {vsubq_f64(a.v, b.v)}; }
@@ -209,6 +251,9 @@ struct VecD {
   static VecD Splat(double x) { return {x}; }
   static VecD Load(const double* p) { return {*p}; }
   void Store(double* p) const { *p = v; }
+
+  static VecD LoadFirst(const double* p, size_t) { return Load(p); }
+  void StoreFirst(double* p, size_t) const { Store(p); }
 
   friend VecD operator+(VecD a, VecD b) { return {a.v + b.v}; }
   friend VecD operator-(VecD a, VecD b) { return {a.v - b.v}; }
