@@ -4,7 +4,9 @@
 // refit of a longer sequence with a cyclic event and a growth onset. Every
 // fitted parameter, every shock field and the total cost are printed with
 // %.17g and compared with checked-in text, so a change that claims
-// bit-identical fits is held to it.
+// bit-identical fits is held to it. A second golden pins the baselines the
+// same way: one seeded series each through FUNNEL (global and local),
+// SpikeM, TBATS with a forecast, SIRS and SKIPS, every parameter and RMSE.
 //
 // The Gaussian coding cost uses golden-tolerance SIMD reductions
 // (kernels/dspot_simd.h), so the last bits of the MDL decisions depend on
@@ -13,6 +15,7 @@
 // a reviewed change of results, run the test with DSPOT_UPDATE_GOLDEN=1 on
 // each ISA's build.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,10 +25,16 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/funnel.h"
+#include "baselines/spikem.h"
+#include "baselines/tbats.h"
+#include "common/random.h"
 #include "core/dspot.h"
 #include "core/global_fit.h"
 #include "datagen/catalog.h"
 #include "datagen/generator.h"
+#include "epidemics/sir_family.h"
+#include "epidemics/skips.h"
 #include "kernels/reduce.h"
 
 namespace dspot {
@@ -141,9 +150,135 @@ void AppendRefit(uint64_t seed, std::ostringstream* out) {
   for (const Shock& s : refit->shocks) AppendShock(s, out);
 }
 
-std::string GoldenPath() {
-  return std::string(DSPOT_GOLDEN_DIR) + "/fit_golden_" +
-         kernels::SimdIsaName() + ".txt";
+/// A forced SIRS with two one-shot shocks at `scale` times the population,
+/// plus seeded Gaussian noise: FUNNEL's own model, whose residual bursts
+/// feed its shock search.
+Series NoisyFunnelSeries(double scale, uint64_t seed) {
+  FunnelParams truth;
+  truth.base.population = 150.0 * scale;
+  truth.base.beta0 = 0.55;
+  truth.base.delta = 0.35;
+  truth.base.gamma = 0.15;
+  truth.base.amplitude = 0.2;
+  truth.base.period = 26.0;
+  truth.base.i0 = scale;
+  truth.shocks.push_back({.start = 70, .width = 3, .strength = 12.0});
+  truth.shocks.push_back({.start = 130, .width = 2, .strength = 8.0});
+  Series data = SimulateFunnel(truth, 182);
+  Random rng(seed);
+  for (size_t t = 0; t < data.size(); ++t) {
+    data[t] = std::max(0.0, data[t] + rng.Gaussian(0.0, scale));
+  }
+  return data;
+}
+
+/// The baselines' fits of seeded series: FUNNEL's model (global, and a
+/// location at a third of its volume for the local refit), a Grammy-like
+/// keyword (annual event, 3.5 years) for TBATS, SIRS and SKIPS, and a
+/// single meme burst for SpikeM.
+void AppendBaselines(uint64_t seed, std::ostringstream* out) {
+  GeneratorConfig config = GoogleTrendsConfig(seed);
+  config.n_ticks = 182;
+  config.num_locations = kLocations;
+  config.num_outlier_locations = 0;
+  StatusOr<GeneratedTensor> generated =
+      GenerateTensor({GrammyScenario()}, config);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const Series data = generated->tensor.GlobalSequence(0);
+
+  const auto append_skips = [out](const SkipsParams& p) {
+    *out << "  N=" << Num(p.population) << " beta0=" << Num(p.beta0)
+         << " delta=" << Num(p.delta) << " gamma=" << Num(p.gamma)
+         << " amplitude=" << Num(p.amplitude) << " period=" << Num(p.period)
+         << " phase=" << Num(p.phase) << " i0=" << Num(p.i0) << "\n";
+  };
+  const auto append_funnel = [&](const char* name, const FunnelFit& fit) {
+    *out << name << " seed=" << seed << " rmse=" << Num(fit.rmse)
+         << " cost_bits=" << Num(fit.total_cost_bits) << "\n";
+    append_skips(fit.params.base);
+    for (const FunnelShock& s : fit.params.shocks) {
+      *out << "  shock t_s=" << s.start << " t_w=" << s.width
+           << " strength=" << Num(s.strength) << "\n";
+    }
+  };
+  StatusOr<FunnelFit> funnel = FitFunnel(NoisyFunnelSeries(1.0, seed));
+  ASSERT_TRUE(funnel.ok()) << funnel.status().ToString();
+  append_funnel("funnel", *funnel);
+  StatusOr<FunnelFit> funnel_local =
+      FitFunnelLocal(NoisyFunnelSeries(1.0 / 3.0, seed + 100), *funnel);
+  ASSERT_TRUE(funnel_local.ok()) << funnel_local.status().ToString();
+  append_funnel("funnel_local", *funnel_local);
+
+  StatusOr<TbatsModel> tbats = TbatsModel::Fit(data);
+  ASSERT_TRUE(tbats.ok()) << tbats.status().ToString();
+  *out << "tbats seed=" << seed << " period=" << tbats->period()
+       << " harmonics=" << tbats->harmonics()
+       << " alpha=" << Num(tbats->alpha()) << " beta=" << Num(tbats->beta())
+       << " phi=" << Num(tbats->phi()) << "\n  forecast=[";
+  const Series forecast = tbats->Forecast(data, 26);
+  for (size_t t = 0; t < forecast.size(); ++t) {
+    *out << (t ? " " : "") << Num(forecast[t]);
+  }
+  *out << "]\n";
+
+  StatusOr<SirsFit> sirs = FitSirs(data);
+  ASSERT_TRUE(sirs.ok()) << sirs.status().ToString();
+  *out << "sirs seed=" << seed << " rmse=" << Num(sirs->info.rmse)
+       << " lm_iterations=" << sirs->info.lm_iterations << "\n  N="
+       << Num(sirs->params.population) << " beta=" << Num(sirs->params.beta)
+       << " delta=" << Num(sirs->params.delta)
+       << " gamma=" << Num(sirs->params.gamma)
+       << " i0=" << Num(sirs->params.i0) << "\n";
+
+  StatusOr<SkipsFit> skips = FitSkips(data);
+  ASSERT_TRUE(skips.ok()) << skips.status().ToString();
+  *out << "skips seed=" << seed << " rmse=" << Num(skips->rmse) << "\n";
+  append_skips(skips->params);
+
+  GeneratorConfig meme_config = MemeTrackerConfig(seed);
+  meme_config.num_outlier_locations = 0;
+  StatusOr<Series> meme = GenerateGlobalSequence(Meme3Scenario(), meme_config);
+  ASSERT_TRUE(meme.ok()) << meme.status().ToString();
+  StatusOr<SpikeMFit> spikem = FitSpikeM(*meme);
+  ASSERT_TRUE(spikem.ok()) << spikem.status().ToString();
+  const SpikeMParams& p = spikem->params;
+  *out << "spikem seed=" << seed << " rmse=" << Num(spikem->rmse)
+       << "\n  N=" << Num(p.population) << " beta=" << Num(p.beta)
+       << " n_b=" << p.shock_start << " S_b=" << Num(p.shock_size)
+       << " background=" << Num(p.background) << " p_p=" << Num(p.period)
+       << " p_a=" << Num(p.periodicity_amplitude)
+       << " p_s=" << Num(p.periodicity_shift) << "\n";
+}
+
+/// Compares `actual` with tests/golden/<name>_<isa>.txt line by line (or
+/// rewrites that file under DSPOT_UPDATE_GOLDEN=1).
+void ExpectMatchesGolden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(DSPOT_GOLDEN_DIR) + "/" + name + "_" +
+                           kernels::SimdIsaName() + ".txt";
+  const char* update = std::getenv("DSPOT_UPDATE_GOLDEN");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream(path) << actual;
+    GTEST_SKIP() << "wrote " << path;
+  }
+  std::ifstream in(path);
+  if (!in) {
+    GTEST_SKIP() << "no " << name << " for SIMD ISA '"
+                 << kernels::SimdIsaName() << "' (" << path << ")";
+  }
+  std::stringstream expected;
+  expected << in.rdbuf();
+  // Line by line, so a failure names the first field that moved.
+  std::istringstream want(expected.str());
+  std::istringstream got(actual);
+  std::string want_line, got_line;
+  size_t line = 0;
+  while (std::getline(want, want_line)) {
+    ++line;
+    ASSERT_TRUE(std::getline(got, got_line)) << "output ends at line " << line;
+    ASSERT_EQ(want_line, got_line) << "first difference at line " << line;
+  }
+  EXPECT_FALSE(std::getline(got, got_line))
+      << "output has extra lines from line " << line + 1;
 }
 
 TEST(FitGolden, OutputsMatchCheckedInText) {
@@ -155,32 +290,14 @@ TEST(FitGolden, OutputsMatchCheckedInText) {
   }
   AppendRefit(1, &actual);
   ASSERT_FALSE(HasFatalFailure());
+  ExpectMatchesGolden("fit_golden", actual.str());
+}
 
-  const std::string path = GoldenPath();
-  const char* update = std::getenv("DSPOT_UPDATE_GOLDEN");
-  if (update != nullptr && std::string(update) == "1") {
-    std::ofstream(path) << actual.str();
-    GTEST_SKIP() << "wrote " << path;
-  }
-  std::ifstream in(path);
-  if (!in) {
-    GTEST_SKIP() << "no fit golden for SIMD ISA '" << kernels::SimdIsaName()
-                 << "' (" << path << ")";
-  }
-  std::stringstream expected;
-  expected << in.rdbuf();
-  // Line by line, so a failure names the first field that moved.
-  std::istringstream want(expected.str());
-  std::istringstream got(actual.str());
-  std::string want_line, got_line;
-  size_t line = 0;
-  while (std::getline(want, want_line)) {
-    ++line;
-    ASSERT_TRUE(std::getline(got, got_line)) << "output ends at line " << line;
-    ASSERT_EQ(want_line, got_line) << "first difference at line " << line;
-  }
-  EXPECT_FALSE(std::getline(got, got_line))
-      << "output has extra lines from line " << line + 1;
+TEST(FitGolden, BaselinesMatchCheckedInText) {
+  std::ostringstream actual;
+  for (const uint64_t seed : {1u, 2u}) AppendBaselines(seed, &actual);
+  ASSERT_FALSE(HasFatalFailure());
+  ExpectMatchesGolden("baselines_golden", actual.str());
 }
 
 }  // namespace
