@@ -69,10 +69,10 @@ void BM_SimulateSivInto(benchmark::State& state) {
   for (size_t t = 30; t < n; t += 52) {
     epsilon[t] = 9.0;
   }
-  const SivDynamics dynamics{200.0, 0.5, 0.45, 0.5, 1.0};
+  const kernels::SivParams params{200.0, 0.5, 0.45, 0.5, 1.0};
   std::vector<double> out(n);
   for (auto _ : state) {
-    SimulateSivInto(dynamics, epsilon, {}, out);
+    kernels::SimulateSivScalarInto(params, epsilon, {}, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -159,9 +159,9 @@ void BM_ResidualSimulateWorkspace(benchmark::State& state) {
   std::vector<double> estimate(n);
   std::vector<double> residuals(observed.size());
   for (auto _ : state) {
-    const SivDynamics dynamics{fixture.population, fixture.beta,
-                               fixture.delta, fixture.gamma, fixture.i0};
-    SimulateSivInto(dynamics, epsilon, eta, estimate);
+    const kernels::SivParams params{fixture.population, fixture.beta,
+                                    fixture.delta, fixture.gamma, fixture.i0};
+    kernels::SimulateSivScalarInto(params, epsilon, eta, estimate);
     for (size_t k = 0; k < observed.size(); ++k) {
       const size_t t = observed[k];
       residuals[k] = estimate[t] - data[t];

@@ -113,7 +113,7 @@ void Row(size_t d, size_t l, size_t n, bench::BenchJson* json) {
   ObsRegistry::Instance().Reset();
   t0 = std::chrono::steady_clock::now();
   DspotOptions warm_options;
-  warm_options.warm_start = &loaded->params;
+  warm_options.global.warm_start = &loaded->params;
   auto warm_fit = FitDspot(tensor, warm_options);
   if (!warm_fit.ok()) {
     std::fprintf(stderr, "warm refit failed: %s\n",

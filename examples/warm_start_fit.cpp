@@ -84,7 +84,7 @@ int main() {
   ObsRegistry::Instance().Reset();
   const auto t1 = std::chrono::steady_clock::now();
   DspotOptions warm_options;
-  warm_options.warm_start = &loaded->params;
+  warm_options.global.warm_start = &loaded->params;
   auto warm = FitDspot(tensor, warm_options);
   if (!warm.ok()) {
     std::fprintf(stderr, "warm refit failed: %s\n",

@@ -16,6 +16,11 @@ namespace dspot {
 
 namespace {
 
+/// FitFunnel's caps: shocks accepted, and base-fit / shock-search
+/// alternation rounds.
+constexpr size_t kMaxShocks = 10;
+constexpr int kMaxAlternations = 3;
+
 /// Model description bits: the forced-SIRS base (8 floats) plus, per shock,
 /// its start/width positions and one float strength.
 double FunnelModelCostBits(const FunnelParams& params, size_t n_ticks) {
@@ -80,8 +85,7 @@ Series SimulateFunnel(const FunnelParams& params, size_t n_ticks) {
   return out;
 }
 
-StatusOr<FunnelFit> FitFunnel(const Series& data,
-                              const FunnelOptions& options) {
+StatusOr<FunnelFit> FitFunnel(const Series& data) {
   if (data.observed_count() < 16) {
     return Status::InvalidArgument("FitFunnel: too few observations");
   }
@@ -106,7 +110,7 @@ StatusOr<FunnelFit> FitFunnel(const Series& data,
 
   // Phase 2/3 alternation: refit base continuous params given shocks, then
   // greedily add one-shot shocks while the MDL cost drops.
-  for (int round = 0; round < options.max_alternations; ++round) {
+  for (int round = 0; round < kMaxAlternations; ++round) {
     // Refit the continuous base parameters with shocks held fixed; the
     // shock set is constant during the solve, so the candidate (and its
     // shocks vector) is built once and only the scalars vary per call.
@@ -154,7 +158,7 @@ StatusOr<FunnelFit> FitFunnel(const Series& data,
 
     // Greedy one-shot shock additions.
     bool added = false;
-    while (fit.params.shocks.size() < options.max_shocks) {
+    while (fit.params.shocks.size() < kMaxShocks) {
       SimulateFunnelInto(fit.params, estimate);
       Series residual(n_ticks);
       for (size_t t = 0; t < n_ticks; ++t) {

@@ -46,16 +46,10 @@ struct FunnelFit {
   double total_cost_bits = 0.0;
 };
 
-struct FunnelOptions {
-  size_t max_shocks = 10;
-  int max_alternations = 3;
-};
-
 /// Fits the FUNNEL baseline: alternates (base SIRS+forcing fit) with greedy
 /// one-shot shock detection, accepting shocks only while the MDL total cost
 /// decreases.
-StatusOr<FunnelFit> FitFunnel(const Series& data,
-                              const FunnelOptions& options = FunnelOptions());
+StatusOr<FunnelFit> FitFunnel(const Series& data);
 
 /// Local-level refit used for Fig. 9(b): keeps the global dynamics and
 /// shock times, rescales population and per-shock strengths to one

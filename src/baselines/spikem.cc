@@ -15,6 +15,8 @@ namespace dspot {
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
 constexpr double kDecayExponent = -1.5;
+/// Candidate shock-start grid resolution of FitSpikeM.
+constexpr size_t kStartGrid = 24;
 }  // namespace
 
 void SimulateSpikeMInto(const SpikeMParams& params, SpikeMWorkspace* workspace,
@@ -76,8 +78,7 @@ Series SimulateSpikeM(const SpikeMParams& params, size_t n_ticks) {
   return delta;
 }
 
-StatusOr<SpikeMFit> FitSpikeM(const Series& data,
-                              const SpikeMOptions& options) {
+StatusOr<SpikeMFit> FitSpikeM(const Series& data) {
   if (data.observed_count() < 12) {
     return Status::InvalidArgument("FitSpikeM: too few observations");
   }
@@ -91,9 +92,8 @@ StatusOr<SpikeMFit> FitSpikeM(const Series& data,
     candidates.push_back(b.start > 2 ? b.start - 2 : 0);
     if (candidates.size() >= 4) break;
   }
-  const size_t grid = std::max<size_t>(options.start_grid, 2);
-  for (size_t g = 0; g < grid; ++g) {
-    candidates.push_back(n * g / grid);
+  for (size_t g = 0; g < kStartGrid; ++g) {
+    candidates.push_back(n * g / kStartGrid);
   }
 
   // One scratch for every candidate-start solve: observed-tick indices,
@@ -111,7 +111,6 @@ StatusOr<SpikeMFit> FitSpikeM(const Series& data,
   double best_cost = std::numeric_limits<double>::infinity();
   for (size_t start : candidates) {
     if (start + 4 >= n) continue;
-    const bool periodic = options.period >= 2.0;
     auto residual_fn = [&](std::span<const double> p,
                            std::span<double> r) -> Status {
       SpikeMParams params;
@@ -120,11 +119,6 @@ StatusOr<SpikeMFit> FitSpikeM(const Series& data,
       params.shock_size = p[2];
       params.background = p[3];
       params.shock_start = start;
-      params.period = options.period;
-      if (periodic) {
-        params.periodicity_amplitude = p[4];
-        params.periodicity_shift = p[5];
-      }
       SimulateSpikeMInto(params, &sim_workspace, estimate);
       for (size_t k = 0; k < observed.size(); ++k) {
         const size_t t = observed[k];
@@ -135,12 +129,7 @@ StatusOr<SpikeMFit> FitSpikeM(const Series& data,
     Bounds bounds;
     bounds.lower = {volume * 0.2, 1e-4, 0.0, 0.0};
     bounds.upper = {volume * 50.0, 10.0, peak * 20.0, peak};
-    std::vector<double> init = {volume, 0.5, peak, 0.1};
-    if (periodic) {
-      bounds.lower.insert(bounds.lower.end(), {0.0, 0.0});
-      bounds.upper.insert(bounds.upper.end(), {1.0, options.period});
-      init.insert(init.end(), {0.3, 0.0});
-    }
+    const std::vector<double> init = {volume, 0.5, peak, 0.1};
     auto fit_or = LevenbergMarquardt(residual_fn, observed.size(), init,
                                      bounds, LmOptions(), &lm_workspace);
     if (!fit_or.ok()) continue;
@@ -152,11 +141,6 @@ StatusOr<SpikeMFit> FitSpikeM(const Series& data,
       best.params.shock_size = p[2];
       best.params.background = p[3];
       best.params.shock_start = start;
-      best.params.period = options.period;
-      if (periodic) {
-        best.params.periodicity_amplitude = p[4];
-        best.params.periodicity_shift = p[5];
-      }
     }
   }
   if (!std::isfinite(best_cost)) {

@@ -60,18 +60,10 @@ struct SpikeMFit {
   double rmse = 0.0;
 };
 
-struct SpikeMOptions {
-  /// Fixed modulation period (e.g. 7 for daily data); 0 = fit without
-  /// periodicity.
-  double period = 0.0;
-  /// Candidate shock-start grid resolution.
-  size_t start_grid = 24;
-};
-
-/// Fits SpikeM to `data`: grid over the discrete shock start n_b,
-/// Levenberg-Marquardt over the continuous parameters for each candidate.
-StatusOr<SpikeMFit> FitSpikeM(const Series& data,
-                              const SpikeMOptions& options = SpikeMOptions());
+/// Fits SpikeM without periodic modulation to `data`: grid over the
+/// discrete shock start n_b, Levenberg-Marquardt over the continuous
+/// parameters for each candidate.
+StatusOr<SpikeMFit> FitSpikeM(const Series& data);
 
 }  // namespace dspot
 

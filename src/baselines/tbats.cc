@@ -11,6 +11,8 @@ namespace dspot {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
+/// Nelder-Mead evaluation budget for the smoothing-parameter search.
+constexpr int kMaxEvaluations = 4000;
 }  // namespace
 
 double TbatsModel::RunFilter(const Series& data, Series* fitted,
@@ -131,7 +133,7 @@ StatusOr<TbatsModel> TbatsModel::Fit(const Series& data,
   bounds.lower = {1e-4, 0.0, 0.6, 0.0, 0.0};
   bounds.upper = {1.0, 0.5, 1.0, 0.5, 0.5};
   NelderMeadOptions nm_options;
-  nm_options.max_evaluations = config.max_evaluations;
+  nm_options.max_evaluations = kMaxEvaluations;
   const std::vector<std::vector<double>> starts = {
       {0.2, 0.01, 0.98, 0.05, 0.05},
       {0.6, 0.10, 0.90, 0.20, 0.20},

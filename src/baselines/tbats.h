@@ -20,8 +20,6 @@ struct TbatsConfig {
   size_t period = 0;
   /// Number of trigonometric harmonics.
   size_t harmonics = 3;
-  /// Nelder-Mead evaluation budget for the smoothing-parameter search.
-  int max_evaluations = 4000;
 };
 
 /// Reusable scratch for TbatsModel::RunFilter: the seasonal state vectors

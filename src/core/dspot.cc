@@ -50,8 +50,6 @@ StatusOr<DspotResult> FitDspot(const ActivityTensor& tensor,
   GlobalFitOptions global_options = options.global;
   global_options.num_threads = options.num_threads;
   global_options.guard = guard;
-  global_options.on_keyword_error = options.on_keyword_error;
-  global_options.warm_start = options.warm_start;
   LocalFitOptions local_options = options.local;
   local_options.num_threads = options.num_threads;
   local_options.guard = guard;

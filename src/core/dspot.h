@@ -18,7 +18,10 @@ namespace dspot {
 /// Top-level options for the full Δ-SPOT pipeline (Algorithm 1). The model
 /// is parameter-free in the paper's sense: every field has a sensible
 /// default driven by the MDL criterion, and nothing here trades accuracy
-/// against correctness — only compute budget.
+/// against correctness — only compute budget. FitDspot passes `global` and
+/// `local` to their stages as given, except for the pipeline-wide
+/// `num_threads` and guard (built from `time_budget_ms` and `cancel`),
+/// which it writes over theirs.
 struct DspotOptions {
   GlobalFitOptions global;
   LocalFitOptions local;
@@ -35,10 +38,6 @@ struct DspotOptions {
   /// cancellation is an abort: FitDspot returns Status::Cancelled and no
   /// partial result. Inert by default.
   CancellationToken cancel;
-  /// What to do when one keyword's GLOBALFIT fails (see
-  /// KeywordErrorPolicy): fail the whole fit (default) or keep the
-  /// keywords that fit and report the rest via result.keyword_status.
-  KeywordErrorPolicy on_keyword_error = KeywordErrorPolicy::kFail;
   /// Threads for the whole pipeline: keywords and each keyword's shock
   /// candidates fit concurrently in GLOBALFIT, and locations concurrently
   /// in LOCALFIT. 0 = hardware concurrency, 1 = fully serial. FitDspot copies this value over
@@ -47,13 +46,6 @@ struct DspotOptions {
   /// land in pre-assigned slots and reductions stay in index order — so
   /// this trades only wall-clock, never output.
   size_t num_threads = 0;
-  /// Optional warm start from a previously fitted (e.g. snapshot-loaded)
-  /// model: GLOBALFIT seeds each keyword from the previous parameters and
-  /// shock schedule instead of running the cold multi-start MDL search,
-  /// and converges in measurably fewer solver iterations on similar data.
-  /// The pointee must outlive the fit. Null (default) = cold fit,
-  /// bit-identical to builds without warm-start support.
-  const ModelParamSet* warm_start = nullptr;
 };
 
 /// The result of fitting Δ-SPOT on an activity tensor.

@@ -21,6 +21,14 @@ namespace dspot {
 
 namespace {
 
+/// Number of grid points for the growth-onset (t_eta) search.
+constexpr size_t kGrowthGrid = 24;
+/// Upper bound for the growth rate eta_0 and shock strength eps_0.
+constexpr double kMaxGrowthRate = 4.0;
+constexpr double kMaxShockStrength = 50.0;
+/// Minimum relative MDL improvement for accepting a richer model.
+constexpr double kMinCostDecrease = 1e-4;
+
 /// Bundles the state GLOBALFIT iterates on for one keyword.
 struct FitState {
   Series data;
@@ -79,10 +87,8 @@ std::span<const double> SimulateStateInto(const FitState& state,
           ? scratch->schedules.Eta(state.params.growth_rate,
                                    state.params.growth_start, state.n)
           : std::span<const double>();
-  const SivDynamics dynamics{state.params.population, state.params.beta,
-                             state.params.delta, state.params.gamma,
-                             state.params.i0};
-  SimulateSivInto(dynamics, epsilon, eta, scratch->estimate);
+  kernels::SimulateSivScalarInto(KernelParams(state.params), epsilon, eta,
+                                 scratch->estimate);
   return scratch->estimate;
 }
 
@@ -104,10 +110,6 @@ double StateCostBits(const FitState& state, FitScratch* scratch) {
 double StateRmse(const FitState& state, FitScratch* scratch) {
   return Rmse(std::span<const double>(state.data.values()),
               SimulateStateInto(state, scratch));
-}
-
-kernels::SivParams KernelParams(const KeywordGlobalParams& p) {
-  return {p.population, p.beta, p.delta, p.gamma, p.i0};
 }
 
 /// Start tick of occurrence m of `shock`.
@@ -306,10 +308,10 @@ bool AllFinite(std::span<const double> xs) {
 ///
 /// Every residual round simulates the waiting trial points as SIMD lanes
 /// of kernels::SimulateSivBatchInto: lane k is solve k, whose schedules
-/// are packed once for the group. Lanes give SimulateSivInto's bits for
-/// finite inputs, so a point with non-finite parameters or schedules runs
-/// SimulateSivInto itself, as does a lone finite point (one scalar run is
-/// cheaper than a padded vector).
+/// are packed once for the group. Lanes give SimulateSivScalarInto's bits
+/// for finite inputs, so a point with non-finite parameters or schedules
+/// runs SimulateSivScalarInto itself, as does a lone finite point (one
+/// scalar run is cheaper than a padded vector).
 void FitBaseParamsLockstep(std::span<FitState* const> states,
                            bool multi_start, FitScratch* scratch,
                            std::span<Status> statuses) {
@@ -447,8 +449,9 @@ void FitBaseParamsLockstep(std::span<FitState* const> states,
       }
       const std::span<const double> p = request.params;
       const size_t s = request.problem / starts_per_state;
-      SimulateSivInto({p[0], p[1], p[2], p[3], p[4]}, sc.lane_eps[s],
-                      sc.lane_eta[s], sc.estimate);
+      kernels::SimulateSivScalarInto({p[0], p[1], p[2], p[3], p[4]},
+                                     sc.lane_eps[s], sc.lane_eta[s],
+                                     sc.estimate);
       for (size_t k = 0; k < observed.size(); ++k) {
         const size_t t = observed[k];
         r[k] = sc.estimate[t] - data[t];
@@ -509,8 +512,7 @@ Status FitBaseParams(FitState* state, bool multi_start, FitScratch* scratch) {
 /// addition; the term only costs ~40 bits, so any real improvement also
 /// wins on cost at the next evaluation). An existing term is dropped when
 /// the model without it codes cheaper.
-void FitGrowth(FitState* state, const GlobalFitOptions& options,
-               FitScratch* scratch) {
+void FitGrowth(FitState* state, FitScratch* scratch) {
   DSPOT_SPAN("global_fit.growth_search");
   const double base_cost = StateCostBits(*state, scratch);
 
@@ -532,9 +534,8 @@ void FitGrowth(FitState* state, const GlobalFitOptions& options,
   // that prefix; onsets ascend, so it only moves forward.
   TailScan scan(&probe, scratch);
   const auto set_rate = [&](double eta0) { probe.params.growth_rate = eta0; };
-  const size_t grid = std::max<size_t>(options.growth_grid, 2);
-  for (size_t g = 1; g < grid; ++g) {
-    const size_t t_eta = state->n * g / grid;
+  for (size_t g = 1; g < kGrowthGrid; ++g) {
+    const size_t t_eta = state->n * g / kGrowthGrid;
     if (t_eta < 2 || t_eta + 4 >= state->n) continue;
     probe.params.growth_start = t_eta;
     scan.AdvanceTo(t_eta);
@@ -543,7 +544,7 @@ void FitGrowth(FitState* state, const GlobalFitOptions& options,
           set_rate(eta0);
           return scan.Rmse();
         },
-        0.0, options.max_growth_rate, 20, 1e-4,
+        0.0, kMaxGrowthRate, 20, 1e-4,
         [&](std::span<const double> xs, std::span<double> fs) {
           scan.RmseBatch(xs, set_rate, fs);
         });
@@ -555,7 +556,7 @@ void FitGrowth(FitState* state, const GlobalFitOptions& options,
       best = probe.params;
     }
   }
-  const bool mdl_better = best_cost < base_cost * (1.0 - options.min_cost_decrease) ||
+  const bool mdl_better = best_cost < base_cost * (1.0 - kMinCostDecrease) ||
                           best_cost < base_cost - 1.0;
   if (mdl_better) {
     state->params = best;
@@ -568,7 +569,7 @@ void FitGrowth(FitState* state, const GlobalFitOptions& options,
 /// pay their own description cost — keeping most occurrences at the
 /// default and the model parsimonious.
 void FitShockStrengths(FitState* state, size_t shock_index,
-                       double max_strength, FitScratch* scratch) {
+                       FitScratch* scratch) {
   Shock& shock = state->shocks[shock_index];
   // Every strength of this shock acts from its start on; occurrence m's
   // from the occurrence's start (windows never reach the next occurrence).
@@ -585,7 +586,7 @@ void FitShockStrengths(FitState* state, size_t shock_index,
         set_shared(strength);
         return scan.Rmse();
       },
-      0.0, max_strength, shock.base_strength, 24, 1e-6,
+      0.0, kMaxShockStrength, shock.base_strength, 24, 1e-6,
       [&](std::span<const double> xs, std::span<double> fs) {
         scan.RmseBatch(xs, set_shared, fs);
       });
@@ -604,7 +605,7 @@ void FitShockStrengths(FitState* state, size_t shock_index,
           set_occurrence(strength);
           return scan.Rmse();
         },
-        0.0, max_strength, shock.global_strengths[m], 24, 1e-6,
+        0.0, kMaxShockStrength, shock.global_strengths[m], 24, 1e-6,
         [&](std::span<const double> xs, std::span<double> fs) {
           scan.RmseBatch(xs, set_occurrence, fs);
         });
@@ -634,7 +635,7 @@ void FitShockStrengths(FitState* state, size_t shock_index,
 /// a single shared strength; the winner is returned with its occurrence
 /// vector resized.
 Shock RefineShockPlacement(const FitState& state, const Shock& candidate,
-                           double max_strength, FitScratch* scratch) {
+                           FitScratch* scratch) {
   Shock best = candidate;
   double best_rmse = std::numeric_limits<double>::infinity();
   FitState probe = state;
@@ -660,7 +661,7 @@ Shock RefineShockPlacement(const FitState& state, const Shock& candidate,
             set_strength(v);
             return scan.Rmse();
           },
-          0.0, max_strength, 20, 1e-2,
+          0.0, kMaxShockStrength, 20, 1e-2,
           [&](std::span<const double> xs, std::span<double> fs) {
             scan.RmseBatch(xs, set_strength, fs);
           });
@@ -692,16 +693,13 @@ struct CandidateFit {
 /// and works on its own FitScratch and FitHealth, so the candidates of one
 /// TryAddShock can run concurrently.
 StatusOr<CandidateFit> FitCandidate(const FitState& state,
-                                    const Shock& candidate,
-                                    const GlobalFitOptions& options) {
+                                    const Shock& candidate) {
   FitScratch scratch;
   FitHealth health;
   FitState probe = state;
   probe.health = &health;
-  probe.shocks.push_back(RefineShockPlacement(
-      state, candidate, options.max_shock_strength, &scratch));
-  FitShockStrengths(&probe, probe.shocks.size() - 1,
-                    options.max_shock_strength, &scratch);
+  probe.shocks.push_back(RefineShockPlacement(state, candidate, &scratch));
+  FitShockStrengths(&probe, probe.shocks.size() - 1, &scratch);
   // Joint refinement before the MDL verdict: the incumbent base was fit
   // with this spike mass unexplained, so judge the candidate only after
   // base and strengths are refit *together*. Shock-free optima often sit
@@ -733,8 +731,7 @@ StatusOr<CandidateFit> FitCandidate(const FitState& state,
   size_t live = 0;
   while (live < seeds.size() && first_lm[live].ok()) ++live;
   for (size_t k = 0; k < live; ++k) {
-    FitShockStrengths(seeds[k], seeds[k]->shocks.size() - 1,
-                      options.max_shock_strength, &scratch);
+    FitShockStrengths(seeds[k], seeds[k]->shocks.size() - 1, &scratch);
   }
   if (live > 0) {
     FitBaseParamsLockstep(std::span<FitState* const>(seeds).first(live),
@@ -799,7 +796,7 @@ StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
   popts.cancel = state->guard.cancel;
   std::vector<StatusOr<CandidateFit>> fits = ParallelTryMap<CandidateFit>(
       candidates.size(), popts, [&](size_t i) {
-        return FitCandidate(*state, candidates[i], options);
+        return FitCandidate(*state, candidates[i]);
       });
   // The forward pass optimizes explanatory power optimistically; the
   // backward pass restores parsimony.
@@ -814,7 +811,7 @@ StatusOr<bool> TryAddShock(FitState* state, const GlobalFitOptions& options,
       state->health->restarts += fit.restarts;
     }
     const bool mdl_better =
-        fit.cost < base_cost * (1.0 - options.min_cost_decrease) ||
+        fit.cost < base_cost * (1.0 - kMinCostDecrease) ||
         fit.cost < base_cost - 1.0;
     const bool rmse_better =
         fit.rmse < base_rmse * (1.0 - options.min_rmse_decrease);
@@ -890,7 +887,7 @@ StatusOr<GlobalSequenceFit> RunAlternation(FitState state,
       // Refit the strengths of already-accepted shocks against the
       // refreshed base, then greedily extend the shock set.
       for (size_t k = 0; k < state.shocks.size(); ++k) {
-        FitShockStrengths(&state, k, options.max_shock_strength, scratch);
+        FitShockStrengths(&state, k, scratch);
       }
       cost = StateCostBits(state, scratch);
       while (state.shocks.size() < options.max_shocks_per_keyword &&
@@ -933,7 +930,7 @@ StatusOr<GlobalSequenceFit> RunAlternation(FitState state,
         alt.start = shock.start + m_best * shock.period;
         alt.base_strength = shock.global_strengths[m_best];
         alt.global_strengths = {alt.base_strength};
-        FitShockStrengths(&probe, k, options.max_shock_strength, scratch);
+        FitShockStrengths(&probe, k, scratch);
         const double cost_alt = StateCostBits(probe, scratch);
         if (cost_alt <= cost + options.prune_slack_bits) {
           state = std::move(probe);
@@ -947,14 +944,14 @@ StatusOr<GlobalSequenceFit> RunAlternation(FitState state,
     // the spikes are explained, the junk is pruned, and a level shift
     // shows up cleanly in the coding-cost balance.
     if (options.allow_growth && !interrupted()) {
-      FitGrowth(&state, options, scratch);
+      FitGrowth(&state, scratch);
     }
     cost = StateCostBits(state, scratch);
     const double rmse = StateRmse(state, scratch);
     ++health.iterations;
     DSPOT_OBSERVE("global_fit.round.cost_bits_delta", cost - round_start_cost);
     bool progressed = false;
-    if (cost < best_cost * (1.0 - options.min_cost_decrease) ||
+    if (cost < best_cost * (1.0 - kMinCostDecrease) ||
         cost < best_cost - 1.0) {
       best_cost = cost;
       best_state = state;

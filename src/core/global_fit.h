@@ -37,17 +37,10 @@ struct GlobalFitOptions {
   size_t max_shocks_per_keyword = 8;
   /// Shock proposal knobs.
   ShockDetectionOptions detection;
-  /// Number of grid points for the growth-onset (t_eta) search.
-  size_t growth_grid = 24;
-  /// Upper bound for the growth rate eta_0 and shock strength eps_0.
-  double max_growth_rate = 4.0;
-  double max_shock_strength = 50.0;
   /// Ablation switches (Fig. 4): disable the growth effect / the external
   /// shock machinery.
   bool allow_growth = true;
   bool allow_shocks = true;
-  /// Minimum relative MDL improvement for accepting a richer model.
-  double min_cost_decrease = 1e-4;
   /// Minimum relative RMSE improvement for the *optimistic* acceptance of
   /// a shock or growth term during forward search (strict MDL pruning
   /// still runs afterwards; see TryAddShock in the implementation).

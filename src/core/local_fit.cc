@@ -21,6 +21,11 @@ namespace dspot {
 
 namespace {
 
+/// Upper bound for a local shock strength.
+constexpr double kMaxLocalStrength = 50.0;
+/// Minimum relative improvement for another sweep.
+constexpr double kMinCostDecrease = 1e-4;
+
 /// Working copy of one (keyword, location) local model: the global
 /// dynamics plus this location's population, growth rate and strength
 /// columns.
@@ -52,11 +57,8 @@ struct LocalScratch {
 /// sweeps, bit-identical to the per-tick OccurrenceIndexAt scan.
 std::span<const double> SimulateLocalStateInto(const LocalState& state,
                                                LocalScratch* scratch) {
-  SivDynamics dynamics;
+  kernels::SivParams dynamics = KernelParams(*state.global);
   dynamics.population = state.population;
-  dynamics.beta = state.global->beta;
-  dynamics.delta = state.global->delta;
-  dynamics.gamma = state.global->gamma;
   dynamics.i0 = state.global->i0 * state.population /
                 std::max(state.global->population, 1e-9);
   scratch->epsilon.assign(state.n, 1.0);
@@ -71,7 +73,8 @@ std::span<const double> SimulateLocalStateInto(const LocalState& state,
     eta = scratch->eta;
   }
   scratch->estimate.resize(state.n);
-  SimulateSivInto(dynamics, scratch->epsilon, eta, scratch->estimate);
+  kernels::SimulateSivScalarInto(dynamics, scratch->epsilon, eta,
+                                 scratch->estimate);
   return scratch->estimate;
 }
 
@@ -99,7 +102,7 @@ double LocalStateCostBits(const LocalState& state, size_t d, size_t l,
 
 /// Fits one local sequence by coordinate descent; returns its final cost.
 double FitOneLocal(LocalState* state, size_t d, size_t l,
-                   const LocalFitOptions& options, LocalScratch* scratch) {
+                   LocalScratch* scratch) {
   const double peak = std::max(state->data->MaxValue(), 1e-3);
 
   // b^(L)_ij: local potential population.
@@ -128,27 +131,24 @@ double FitOneLocal(LocalState* state, size_t d, size_t l,
             state->strengths[k][m] = s;
             return LocalStateRmse(*state, scratch);
           },
-          0.0, options.max_local_strength, state->strengths[k][m]);
+          0.0, kMaxLocalStrength, state->strengths[k][m]);
     }
   }
 
   double cost = LocalStateCostBits(*state, d, l, scratch);
 
-  // Sparsification: drop strengths whose description cost exceeds their
-  // coding benefit.
-  if (options.sparsify) {
-    for (size_t k = 0; k < state->strengths.size(); ++k) {
-      for (size_t m = 0; m < state->strengths[k].size(); ++m) {
-        if (state->strengths[k][m] == 0.0) continue;
-        const double saved = state->strengths[k][m];
-        state->strengths[k][m] = 0.0;
-        const double cost_without =
-            LocalStateCostBits(*state, d, l, scratch);
-        if (cost_without <= cost) {
-          cost = cost_without;  // keep it zeroed
-        } else {
-          state->strengths[k][m] = saved;
-        }
+  // Sparsification: zero out strengths whose description cost exceeds
+  // their coding benefit (makes s^(L) sparse, as in Definition 6).
+  for (size_t k = 0; k < state->strengths.size(); ++k) {
+    for (size_t m = 0; m < state->strengths[k].size(); ++m) {
+      if (state->strengths[k][m] == 0.0) continue;
+      const double saved = state->strengths[k][m];
+      state->strengths[k][m] = 0.0;
+      const double cost_without = LocalStateCostBits(*state, d, l, scratch);
+      if (cost_without <= cost) {
+        cost = cost_without;  // keep it zeroed
+      } else {
+        state->strengths[k][m] = saved;
       }
     }
   }
@@ -263,7 +263,7 @@ Status LocalFit(const ActivityTensor& tensor, ModelParamSet* params,
         if (fit_this_location) {
           DSPOT_SPAN("local_fit.location");
           DSPOT_COUNT("local_fit.locations", 1);
-          costs[j] = FitOneLocal(&state, d, l, options, &scratch);
+          costs[j] = FitOneLocal(&state, d, l, &scratch);
         }
 
         // Write back (disjoint per location: column j only).
@@ -282,7 +282,7 @@ Status LocalFit(const ActivityTensor& tensor, ModelParamSet* params,
     }
     if (interrupted.load(std::memory_order_relaxed)) break;
     ++rounds_done;
-    if (total >= previous_total * (1.0 - options.min_cost_decrease)) {
+    if (total >= previous_total * (1.0 - kMinCostDecrease)) {
       converged = true;
       break;
     }

@@ -18,13 +18,6 @@ namespace dspot {
 struct LocalFitOptions {
   /// Coordinate-descent sweeps over all (keyword, location) pairs.
   int max_rounds = 2;
-  /// Upper bound for a local shock strength.
-  double max_local_strength = 50.0;
-  /// Zero out local strengths whose MDL benefit does not cover their
-  /// description cost (makes s^(L) sparse, as in Definition 6).
-  bool sparsify = true;
-  /// Minimum relative improvement for another sweep.
-  double min_cost_decrease = 1e-4;
   /// Worker threads for fitting a keyword's locations concurrently
   /// (0 = hardware concurrency, 1 = serial). Location fits within a round
   /// only read the shared global parameters and write location-disjoint

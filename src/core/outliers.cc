@@ -4,6 +4,14 @@
 
 namespace dspot {
 
+namespace {
+
+/// A location is also an outlier if at least this fraction of its
+/// strength cells is zero.
+constexpr double kZeroFractionThreshold = 0.9;
+
+}  // namespace
+
 StatusOr<std::vector<LocationReaction>> ScoreLocationReactions(
     const ModelParamSet& params, size_t keyword,
     const OutlierOptions& options) {
@@ -59,7 +67,7 @@ StatusOr<std::vector<LocationReaction>> ScoreLocationReactions(
     r.zero_fraction =
         cells == 0 ? 1.0 : static_cast<double>(zeros) / static_cast<double>(cells);
     r.is_outlier = r.participation_ratio < options.participation_threshold ||
-                   r.zero_fraction >= options.zero_fraction_threshold;
+                   r.zero_fraction >= kZeroFractionThreshold;
   }
   return out;
 }

@@ -30,8 +30,6 @@ struct LocationReaction {
 struct OutlierOptions {
   /// A location is an outlier if its participation ratio falls below this.
   double participation_threshold = 0.25;
-  /// ... or if at least this fraction of its strength cells is zero.
-  double zero_fraction_threshold = 0.9;
 };
 
 /// Scores every location's reaction to `keyword`'s events. Requires a

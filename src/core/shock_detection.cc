@@ -5,11 +5,23 @@
 #include <set>
 
 #include "obs/metrics.h"
+#include "timeseries/peaks.h"
 #include "timeseries/stats.h"
 
 namespace dspot {
 
 namespace {
+
+/// How far bursts may drift from the exact cycle grid and still count as
+/// aligned.
+constexpr size_t kAlignmentTolerance = 2;
+/// A period is proposed only if at least this many bursts align with it.
+constexpr size_t kMinAlignedBursts = 2;
+/// Reject period hypotheses with more occurrences than this. External
+/// events are rare (annual/biennial/quadrennial in the paper); a dense
+/// comb that fires every few ticks is a level effect masquerading as an
+/// event (it would shadow the growth term) or plain noise fitting.
+constexpr size_t kMaxOccurrences = 16;
 
 /// Distance of `value` from the nearest multiple of `period`.
 size_t CycleDrift(size_t value, size_t period) {
@@ -30,7 +42,7 @@ std::vector<Shock> ProposeShockCandidates(
     const ShockDetectionOptions& options) {
   DSPOT_SPAN("shock_detection.propose");
   const size_t n = residual.size();
-  const std::vector<Burst> bursts = FindBursts(residual, options.burst_options);
+  const std::vector<Burst> bursts = FindBursts(residual);
   if (bursts.empty()) {
     return {};
   }
@@ -47,7 +59,7 @@ std::vector<Shock> ProposeShockCandidates(
     shock.global_strengths.assign(shock.NumOccurrences(n), 0.0);
     candidates.push_back(std::move(shock));
   }
-  if (!options.allow_cyclic || bursts.size() < options.min_aligned_bursts) {
+  if (!options.allow_cyclic || bursts.size() < kMinAlignedBursts) {
     DSPOT_COUNT("shock_detection.candidates", candidates.size());
     return candidates;
   }
@@ -89,8 +101,8 @@ std::vector<Shock> ProposeShockCandidates(
     // CycleDrift and period 1 aligns every burst with every other, so a
     // degenerate min_period cannot be allowed to reach the scorer.
     if (period < 2) continue;
-    // Dense combs are not events (see max_occurrences doc).
-    if ((n / period) + 1 > options.max_occurrences) {
+    // Dense combs are not events (see kMaxOccurrences).
+    if ((n / period) + 1 > kMaxOccurrences) {
       continue;
     }
     std::vector<size_t> aligned_starts;
@@ -98,12 +110,12 @@ std::vector<Shock> ProposeShockCandidates(
     for (const Burst& b : bursts) {
       const size_t gap = b.start > anchor.start ? b.start - anchor.start
                                                 : anchor.start - b.start;
-      if (gap == 0 || CycleDrift(gap, period) <= options.alignment_tolerance) {
+      if (gap == 0 || CycleDrift(gap, period) <= kAlignmentTolerance) {
         aligned_starts.push_back(b.start);
         aligned_widths.push_back(b.width);
       }
     }
-    if (aligned_starts.size() < options.min_aligned_bursts) continue;
+    if (aligned_starts.size() < kMinAlignedBursts) continue;
     PeriodScore score;
     score.period = period;
     score.aligned = aligned_starts.size();

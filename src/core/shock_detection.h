@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/shock.h"
-#include "timeseries/peaks.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -17,21 +16,10 @@ namespace dspot {
 /// the strongest burst; GLOBALFIT then scores each under MDL.
 
 struct ShockDetectionOptions {
-  /// Burst extraction on the residual.
-  BurstOptions burst_options;
-  /// Cyclic hypotheses: minimum admissible period and how far bursts may
-  /// drift from the exact cycle grid and still count as aligned.
+  /// Cyclic hypotheses: minimum admissible period.
   size_t min_period = 4;
-  size_t alignment_tolerance = 2;
-  /// A period is proposed only if at least this many bursts align with it.
-  size_t min_aligned_bursts = 2;
   /// Cap on the number of period hypotheses per anchor burst.
   size_t max_period_candidates = 4;
-  /// Reject period hypotheses with more occurrences than this. External
-  /// events are rare (annual/biennial/quadrennial in the paper); a dense
-  /// comb that fires every few ticks is a level effect masquerading as an
-  /// event (it would shadow the growth term) or plain noise fitting.
-  size_t max_occurrences = 16;
   /// Disables cyclic hypotheses entirely (ablation D2).
   bool allow_cyclic = true;
 };

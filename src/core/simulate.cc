@@ -1,65 +1,47 @@
 #include "core/simulate.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "kernels/siv_kernel.h"
 
 namespace dspot {
 
-void SimulateSivInto(const SivDynamics& dynamics,
-                     std::span<const double> epsilon,
-                     std::span<const double> eta, std::span<double> out) {
-  // Delegates to the kernel layer's templated recurrence (bit-identical to
-  // the historical in-place loop; the template's double instantiation IS
-  // that loop). The same template instantiated for kernels::Dual powers
-  // the analytic LM Jacobians, and kernels::SimulateSivBatchInto runs the
-  // SoA/SIMD form of this recurrence across many simulations at once.
-  const kernels::SivParams params{dynamics.population, dynamics.beta,
-                                  dynamics.delta, dynamics.gamma,
-                                  dynamics.i0};
-  kernels::SimulateSivScalarInto(params, epsilon, eta, out);
+namespace {
+
+kernels::SivParams InputParams(const SivInputs& inputs) {
+  return {inputs.population, inputs.beta, inputs.delta, inputs.gamma,
+          inputs.i0};
 }
+
+/// The schedule entries from tick t on; empty once t passes the schedule,
+/// where the kernel reads eps = 1 / eta = 0.
+std::span<const double> From(const std::vector<double>& schedule, size_t t) {
+  return std::span<const double>(schedule).subspan(
+      std::min(t, schedule.size()));
+}
+
+}  // namespace
 
 SivTrajectory SimulateSivFull(const SivInputs& inputs, size_t n_ticks) {
   SivTrajectory traj;
   traj.susceptible = Series(n_ticks);
   traj.infective = Series(n_ticks);
   traj.vigilant = Series(n_ticks);
-
-  const double n = std::max(inputs.population, 1e-9);
-  double i = std::clamp(inputs.i0, 0.0, n);
-  double s = n - i;
-  double v = 0.0;
-  const double delta = std::clamp(inputs.delta, 0.0, 1.0);
-  const double gamma = std::clamp(inputs.gamma, 0.0, 1.0);
-
+  const kernels::SivParams params = InputParams(inputs);
+  kernels::SivState state = kernels::SivInitialState(params);
+  const std::span<double> infective = traj.infective.mutable_values();
   for (size_t t = 0; t < n_ticks; ++t) {
-    traj.susceptible[t] = s;
-    traj.infective[t] = i;
-    traj.vigilant[t] = v;
-
-    const double eps =
-        t < inputs.epsilon.size() ? inputs.epsilon[t] : 1.0;
-    const double eta = t < inputs.eta.size() ? inputs.eta[t] : 0.0;
-    const double raw_infect =
-        inputs.beta * (s / n) * eps * i * (1.0 + eta);
-    const double infect = std::clamp(raw_infect, 0.0, s);
-    const double recover = delta * i;
-    const double wane = gamma * v;
-
-    s += wane - infect;
-    i += infect - recover;
-    v += recover - wane;
+    traj.susceptible[t] = state.s;
+    traj.vigilant[t] = state.v;
+    kernels::ResumeSivScalarInto(params, From(inputs.epsilon, t),
+                                 From(inputs.eta, t), &state,
+                                 infective.subspan(t, 1));
   }
   return traj;
 }
 
 Series SimulateSiv(const SivInputs& inputs, size_t n_ticks) {
   Series out(n_ticks);
-  const SivDynamics dynamics{inputs.population, inputs.beta, inputs.delta,
-                             inputs.gamma, inputs.i0};
-  SimulateSivInto(dynamics, inputs.epsilon, inputs.eta, out.mutable_values());
+  kernels::SimulateSivScalarInto(InputParams(inputs), inputs.epsilon,
+                                 inputs.eta, out.mutable_values());
   return out;
 }
 
@@ -96,13 +78,12 @@ void SimulateGlobalInto(const ModelParamSet& params, size_t keyword,
                         ScheduleCache* cache, std::span<double> out) {
   const KeywordGlobalParams& g = params.global[keyword];
   const size_t n_ticks = out.size();
-  const SivDynamics dynamics{g.population, g.beta, g.delta, g.gamma, g.i0};
   const std::span<const double> epsilon =
       cache->GlobalEpsilon(params.shocks, keyword, n_ticks);
   const std::span<const double> eta =
       g.has_growth() ? cache->Eta(g.growth_rate, g.growth_start, n_ticks)
                      : std::span<const double>();
-  SimulateSivInto(dynamics, epsilon, eta, out);
+  kernels::SimulateSivScalarInto(KernelParams(g), epsilon, eta, out);
 }
 
 Series SimulateLocal(const ModelParamSet& params, size_t keyword,
@@ -118,10 +99,7 @@ void SimulateLocalInto(const ModelParamSet& params, size_t keyword,
                        std::span<double> out) {
   const KeywordGlobalParams& g = params.global[keyword];
   const size_t n_ticks = out.size();
-  SivDynamics dynamics;
-  dynamics.beta = g.beta;
-  dynamics.delta = g.delta;
-  dynamics.gamma = g.gamma;
+  kernels::SivParams dynamics = KernelParams(g);
   const std::span<const double> epsilon =
       cache->LocalEpsilon(params.shocks, keyword, location, n_ticks);
   std::span<const double> eta;
@@ -145,7 +123,7 @@ void SimulateLocalInto(const ModelParamSet& params, size_t keyword,
       eta = cache->Eta(g.growth_rate, g.growth_start, n_ticks);
     }
   }
-  SimulateSivInto(dynamics, epsilon, eta, out);
+  kernels::SimulateSivScalarInto(dynamics, epsilon, eta, out);
 }
 
 }  // namespace dspot

@@ -7,6 +7,7 @@
 
 #include "core/params.h"
 #include "core/schedule_cache.h"
+#include "kernels/siv_kernel.h"
 #include "timeseries/series.h"
 
 namespace dspot {
@@ -39,30 +40,21 @@ struct SivTrajectory {
   Series vigilant;
 };
 
-/// The scalar part of SivInputs, used by the buffer-writing kernel below
-/// (schedules come in as spans, so callers can feed cached vectors without
-/// copying them into a SivInputs).
-struct SivDynamics {
-  double population = 1.0;
-  double beta = 0.1;
-  double delta = 0.1;
-  double gamma = 0.05;
-  double i0 = 1.0;
-};
-
-/// Runs the recurrence for out.size() steps and writes I(t) into `out`.
-/// `epsilon` / `eta` may be shorter than the horizon (missing ticks use
-/// eps = 1 / eta = 0, so an empty span means "no shocks" / "no growth").
-/// Allocation-free; this is the hot kernel every residual evaluation hits.
-void SimulateSivInto(const SivDynamics& dynamics,
-                     std::span<const double> epsilon,
-                     std::span<const double> eta, std::span<double> out);
+/// The SIV scalars of a keyword's global parameters, as the kernel layer
+/// takes them: the one conversion from KeywordGlobalParams. Every fit,
+/// forecast and simulation runs the recurrence through
+/// kernels::SimulateSivScalarInto (or its batch and resumable forms).
+inline kernels::SivParams KernelParams(const KeywordGlobalParams& p) {
+  return {p.population, p.beta, p.delta, p.gamma, p.i0};
+}
 
 /// Runs the recurrence for `n_ticks` steps and returns I(t) (the modeled
 /// activity volume).
 Series SimulateSiv(const SivInputs& inputs, size_t n_ticks);
 
-/// Runs the recurrence and returns all three compartments.
+/// Runs the recurrence and returns all three compartments: the kernel's
+/// run resumed one tick at a time, so `infective` is SimulateSiv's output
+/// bit for bit.
 SivTrajectory SimulateSivFull(const SivInputs& inputs, size_t n_ticks);
 
 /// Builds the step function eta(t) = growth_rate * 1[t >= growth_start].

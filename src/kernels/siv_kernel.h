@@ -9,9 +9,9 @@
 namespace dspot {
 namespace kernels {
 
-/// The kernel layer's own copy of the SIV scalar parameters. Kept as a
-/// leaf-layer POD (kernels must not depend on core/) and bridged from
-/// core::SivDynamics by the callers in core/simulate.cc.
+/// The SIV scalar parameters. A leaf-layer POD (kernels must not depend
+/// on core/); core builds it from a keyword's parameters with
+/// KernelParams (core/simulate.h).
 struct SivParams {
   double population = 1.0;
   double beta = 0.1;
@@ -103,8 +103,8 @@ void SimulateSivT(const T& population, const T& beta, const T& delta_in,
   AdvanceSivT(beta, delta_in, gamma_in, epsilon, eta, &state, out);
 }
 
-/// Double instantiation as a plain function (the core/simulate.cc hot
-/// kernel delegates here).
+/// Double instantiation as a plain function: the hot kernel every fit
+/// residual, forecast and simulation in core runs.
 void SimulateSivScalarInto(const SivParams& params,
                            std::span<const double> epsilon,
                            std::span<const double> eta,

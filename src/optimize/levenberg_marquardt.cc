@@ -15,6 +15,18 @@ namespace dspot {
 
 namespace {
 
+/// Multiplicative lambda update on rejected / accepted steps.
+constexpr double kLambdaUp = 10.0;
+constexpr double kLambdaDown = 0.3;
+/// Relative step for the forward-difference Jacobian.
+constexpr double kJacobianStep = 1e-6;
+/// Relative magnitude of the restart jitter around the rewind anchor.
+constexpr double kRestartJitter = 0.05;
+/// Seed for the restart jitter; attempt k draws from
+/// Random(kRestartSeed).Child(k), so recovery is a pure function of the
+/// start — bit-identical across runs and thread counts.
+constexpr uint64_t kRestartSeed = 0x5eedfa17ULL;
+
 /// Computes the forward-difference Jacobian of `fn` at `p` into `ws->jac`.
 /// `r0` is the residual vector already evaluated at `p`. Steps are clamped
 /// so probe points stay inside `bounds` (by stepping backwards when at the
@@ -23,7 +35,7 @@ namespace {
 template <typename EvalFn>
 Status NumericJacobianInto(const EvalFn& fn, const std::vector<double>& p,
                            const std::vector<double>& r0, const Bounds& bounds,
-                           const LmOptions& options, LmWorkspace* ws) {
+                           LmWorkspace* ws) {
   const size_t np = p.size();
   const size_t m = r0.size();
   Matrix& jac = ws->jac;
@@ -33,7 +45,7 @@ Status NumericJacobianInto(const EvalFn& fn, const std::vector<double>& p,
   std::vector<double>& r1 = ws->probe_r;
   r1.resize(m);
   for (size_t j = 0; j < np; ++j) {
-    double h = options.jacobian_step * std::max(1.0, std::fabs(p[j]));
+    double h = kJacobianStep * std::max(1.0, std::fabs(p[j]));
     // Step backwards if a forward step would leave the box.
     if (!bounds.empty() && p[j] + h > bounds.upper[j]) {
       h = -h;
@@ -68,16 +80,14 @@ bool IsDivergentCost(double cost) {
 
 /// Deterministic restart start point: the rewind anchor perturbed by a
 /// seed-derived relative jitter, clamped back into the box. Attempt k
-/// draws from Random(restart_seed).Child(k), so the sequence of starts is
-/// a pure function of the options.
+/// draws from Random(kRestartSeed).Child(k), so the sequence of starts is
+/// a pure function of the anchor.
 void JitterFromAnchor(std::span<const double> anchor, const Bounds& bounds,
-                      const LmOptions& options, int attempt,
-                      std::span<double> p) {
-  Random rng = Random(options.restart_seed).Child(
-      static_cast<uint64_t>(attempt));
+                      int attempt, std::span<double> p) {
+  Random rng = Random(kRestartSeed).Child(static_cast<uint64_t>(attempt));
   for (size_t j = 0; j < anchor.size(); ++j) {
     const double scale = std::max(1.0, std::fabs(anchor[j]));
-    p[j] = anchor[j] + options.restart_jitter * scale * rng.Uniform(-1.0, 1.0);
+    p[j] = anchor[j] + kRestartJitter * scale * rng.Uniform(-1.0, 1.0);
   }
   bounds.Clamp(p);
 }
@@ -162,7 +172,7 @@ class ResumableSolve {
           return request.status;
         };
         status =
-            NumericJacobianInto(probe, ws_.p, ws_.r, bounds_, options_, &ws_);
+            NumericJacobianInto(probe, ws_.p, ws_.r, bounds_, &ws_);
       }
       if (status.ok()) {
         ws_.jac.GramInto(&ws_.jtj);
@@ -233,12 +243,12 @@ class ResumableSolve {
       }
       Restart();
       if (st_.have_best) {
-        JitterFromAnchor(ws_.best_p, bounds_, options_, st_.attempt, ws_.p);
+        JitterFromAnchor(ws_.best_p, bounds_, st_.attempt, ws_.p);
       } else {
         std::vector<double>& anchor = ws_.candidate;
         anchor.assign(problem_.initial.begin(), problem_.initial.end());
         bounds_.Clamp(std::span<double>(anchor));
-        JitterFromAnchor(anchor, bounds_, options_, st_.attempt, ws_.p);
+        JitterFromAnchor(anchor, bounds_, st_.attempt, ws_.p);
       }
       ++st_.attempt;
       return AwaitStartPoint();
@@ -253,7 +263,7 @@ class ResumableSolve {
       st_.have_best = true;
     }
     st_.cost = cost;
-    st_.lambda = options_.initial_lambda;
+    st_.lambda = kLmInitialLambda;
     st_.diverged = false;
     st_.stalled = false;
     NextIteration();
@@ -298,7 +308,7 @@ class ResumableSolve {
             "LevenbergMarquardt: injected normal-equation solve failure");
       }
       if (!solve.ok()) {
-        st_.lambda *= options_.lambda_up;
+        st_.lambda *= kLambdaUp;
         continue;
       }
       std::vector<double>& candidate = ws_.candidate;
@@ -347,7 +357,7 @@ class ResumableSolve {
         ws_.best_p = ws_.p;
         st_.best_cost = st_.cost;
       }
-      st_.lambda = std::max(st_.lambda * options_.lambda_down, 1e-12);
+      st_.lambda = std::max(st_.lambda * kLambdaDown, 1e-12);
       ++st_.result.iterations;
       if (rel_decrease < options_.cost_tolerance ||
           step_norm < options_.step_tolerance) {
@@ -356,7 +366,7 @@ class ResumableSolve {
       }
       return NextIteration();
     }
-    st_.lambda *= options_.lambda_up;
+    st_.lambda *= kLambdaUp;
     ClimbLadder();
   }
 
@@ -370,7 +380,7 @@ class ResumableSolve {
     if (st_.diverged && st_.attempt < MaxRestarts() &&
         st_.outer_iters < options_.max_iterations) {
       Restart();
-      JitterFromAnchor(ws_.best_p, bounds_, options_, st_.attempt, ws_.p);
+      JitterFromAnchor(ws_.best_p, bounds_, st_.attempt, ws_.p);
       ++st_.attempt;
       return AwaitStartPoint();
     }

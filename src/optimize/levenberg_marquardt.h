@@ -26,6 +26,9 @@ using NormalEquationsFn = std::function<Status(
     std::span<const double> params, std::span<const double> residuals,
     Matrix* jtj, std::span<double> jtr)>;
 
+/// Initial damping factor lambda of every solve.
+inline constexpr double kLmInitialLambda = 1e-3;
+
 /// Configuration for the Levenberg-Marquardt solver.
 struct LmOptions {
   /// Maximum number of accepted iterations.
@@ -36,15 +39,8 @@ struct LmOptions {
   double step_tolerance = 1e-10;
   /// Stop when the infinity-norm of the gradient falls below this.
   double gradient_tolerance = 1e-12;
-  /// Initial damping factor lambda.
-  double initial_lambda = 1e-3;
-  /// Multiplicative lambda update on rejected / accepted steps.
-  double lambda_up = 10.0;
-  double lambda_down = 0.3;
   /// Cap beyond which the solve gives up increasing lambda.
   double max_lambda = 1e12;
-  /// Relative step for the forward-difference Jacobian.
-  double jacobian_step = 1e-6;
   /// Analytic normal equations of the residual function. When set, each
   /// outer iteration calls it once, inside the `lm.jacobian` span, instead
   /// of running the O(num_params) re-evaluations of the forward-difference
@@ -60,12 +56,6 @@ struct LmOptions {
   /// pre-guard behavior). Restarts share the max_iterations budget, so
   /// recovery never multiplies the worst-case work.
   int max_restarts = 2;
-  /// Relative magnitude of the restart jitter around the rewind anchor.
-  double restart_jitter = 0.05;
-  /// Seed for the restart jitter; attempt k draws from
-  /// Random(restart_seed).Child(k), so recovery is a pure function of the
-  /// options — bit-identical across runs and thread counts.
-  uint64_t restart_seed = 0x5eedfa17ULL;
   /// Deadline/cancellation pair, checked once per outer iteration. On
   /// deadline expiry the solver returns OK with its best-so-far iterate
   /// and health.termination == kDeadlineExceeded; on cancellation it

@@ -11,6 +11,23 @@
 
 namespace dspot {
 
+namespace {
+
+/// Stop when the spread of objective values across the simplex is below
+/// this (absolute).
+constexpr double kFTolerance = 1e-10;
+/// Stop when the simplex diameter (infinity norm) is below this.
+constexpr double kXTolerance = 1e-10;
+/// Relative size of the initial simplex around the start point.
+constexpr double kInitialStep = 0.1;
+/// Standard reflection/expansion/contraction/shrink coefficients.
+constexpr double kReflection = 1.0;
+constexpr double kExpansion = 2.0;
+constexpr double kContraction = 0.5;
+constexpr double kShrink = 0.5;
+
+}  // namespace
+
 StatusOr<NelderMeadResult> NelderMead(const ScalarFn& fn,
                                       const std::vector<double>& initial,
                                       const Bounds& bounds,
@@ -44,8 +61,7 @@ StatusOr<NelderMeadResult> NelderMead(const ScalarFn& fn,
     simplex.push_back(std::move(p0));
     for (size_t j = 0; j < n; ++j) {
       std::vector<double> p = simplex[0];
-      const double h =
-          options.initial_step * std::max(1.0, std::fabs(p[j]));
+      const double h = kInitialStep * std::max(1.0, std::fabs(p[j]));
       p[j] += h;
       values.push_back(eval(&p));
       simplex.push_back(std::move(p));
@@ -83,7 +99,7 @@ StatusOr<NelderMeadResult> NelderMead(const ScalarFn& fn,
       }
       diameter = std::max(diameter, hi - lo);
     }
-    if (spread < options.f_tolerance || diameter < options.x_tolerance) {
+    if (spread < kFTolerance || diameter < kXTolerance) {
       result.converged = true;
       break;
     }
@@ -108,12 +124,12 @@ StatusOr<NelderMeadResult> NelderMead(const ScalarFn& fn,
       return p;
     };
 
-    std::vector<double> reflected = blend(options.reflection);
+    std::vector<double> reflected = blend(kReflection);
     const double f_reflected = eval(&reflected);
 
     if (f_reflected < values[best]) {
       // Try to expand further in the same direction.
-      std::vector<double> expanded = blend(options.expansion);
+      std::vector<double> expanded = blend(kExpansion);
       const double f_expanded = eval(&expanded);
       if (f_expanded < f_reflected) {
         simplex[worst] = std::move(expanded);
@@ -130,7 +146,7 @@ StatusOr<NelderMeadResult> NelderMead(const ScalarFn& fn,
       continue;
     }
     // Contract toward the centroid.
-    std::vector<double> contracted = blend(-options.contraction);
+    std::vector<double> contracted = blend(-kContraction);
     const double f_contracted = eval(&contracted);
     if (f_contracted < values[worst]) {
       simplex[worst] = std::move(contracted);
@@ -143,7 +159,7 @@ StatusOr<NelderMeadResult> NelderMead(const ScalarFn& fn,
       for (size_t j = 0; j < n; ++j) {
         simplex[v][j] =
             simplex[best][j] +
-            options.shrink * (simplex[v][j] - simplex[best][j]);
+            kShrink * (simplex[v][j] - simplex[best][j]);
       }
       values[v] = eval(&simplex[v]);
     }

@@ -12,18 +12,6 @@ namespace dspot {
 /// Configuration for the Nelder-Mead simplex solver.
 struct NelderMeadOptions {
   int max_evaluations = 2000;
-  /// Stop when the spread of objective values across the simplex is below
-  /// this (absolute).
-  double f_tolerance = 1e-10;
-  /// Stop when the simplex diameter (infinity norm) is below this.
-  double x_tolerance = 1e-10;
-  /// Relative size of the initial simplex around the start point.
-  double initial_step = 0.1;
-  /// Standard reflection/expansion/contraction/shrink coefficients.
-  double reflection = 1.0;
-  double expansion = 2.0;
-  double contraction = 0.5;
-  double shrink = 0.5;
   /// Deadline/cancellation pair, checked once per simplex iteration. On
   /// deadline expiry the search returns OK with its best vertex and
   /// health.termination == kDeadlineExceeded; on cancellation it returns

@@ -123,7 +123,6 @@ StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
   GlobalFitOptions global_options = options.global;
   global_options.num_threads = options.num_threads;
   global_options.guard = guard;
-  global_options.on_keyword_error = options.on_keyword_error;
   global_options.warm_start = nullptr;  // UpdateFit seeds refits itself
 
   UpdateResult update;

@@ -28,7 +28,8 @@ struct UpdateResult {
 /// previous model; new shock detection runs only where HasResidualBurst
 /// (timeseries/peaks.h) fires on the appended window, so quiet keywords
 /// keep their shock inventory. With zero appended ticks this is a plain
-/// warm refit. `options.warm_start` is ignored: UpdateFit seeds itself.
+/// warm refit. `options.global.warm_start` is ignored: UpdateFit seeds
+/// itself.
 StatusOr<UpdateResult> UpdateFit(const ModelSnapshot& model,
                                  const ActivityTensor& tensor,
                                  const DspotOptions& options = {});

@@ -1,19 +1,41 @@
 #include "tensor/activity_tensor.h"
 
+#include <unistd.h>
+
 namespace dspot {
+
+namespace {
+
+/// The host's physical memory in bytes, or 0 when sysconf cannot tell.
+size_t PhysicalMemoryBytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_size <= 0) return 0;
+  return static_cast<size_t>(pages) * static_cast<size_t>(page_size);
+}
+
+}  // namespace
 
 Status CheckTickExtent(size_t d, size_t l, size_t max_tick,
                        const std::string& context) {
+  const auto out_of_range = [&](const std::string& limit) {
+    return Status::InvalidArgument(
+        context + ": tick " + std::to_string(max_tick) + " is out of range: " +
+        std::to_string(d) + " x " + std::to_string(l) + " x (" +
+        std::to_string(max_tick) + " + 1) cells exceed " + limit);
+  };
   const size_t max_cells = std::vector<double>().max_size();
   size_t cells = 0;
   // max_tick < max_cells keeps max_tick + 1 from wrapping.
   if (max_tick >= max_cells || __builtin_mul_overflow(d, l, &cells) ||
       __builtin_mul_overflow(cells, max_tick + 1, &cells) ||
       cells > max_cells) {
-    return Status::InvalidArgument(
-        context + ": tick " + std::to_string(max_tick) + " is out of range: " +
-        std::to_string(d) + " x " + std::to_string(l) + " x (" +
-        std::to_string(max_tick) + " + 1) cells exceed the largest tensor");
+    return out_of_range("the largest tensor");
+  }
+  const size_t memory = PhysicalMemoryBytes();
+  if (memory > 0 && cells > memory / sizeof(double)) {
+    return out_of_range("the host's " + std::to_string(memory) +
+                        " bytes of physical memory at 8 bytes each");
   }
   return Status::Ok();
 }

@@ -96,9 +96,11 @@ class ActivityTensor {
 
 /// OK iff a d x l tensor whose last tick is `max_tick` can be sized:
 /// max_tick + 1 and d * l * (max_tick + 1) neither overflow nor exceed
-/// std::vector<double>().max_size(). Otherwise InvalidArgument
-/// "<context>: tick <max_tick> is out of range: ...". The CSV loaders and
-/// EventAggregator::Build check the ticks they read before sizing.
+/// std::vector<double>().max_size(), and the tensor's 8-byte cells fit in
+/// the host's physical memory (sysconf; unchecked where it cannot tell).
+/// Otherwise InvalidArgument "<context>: tick <max_tick> is out of range:
+/// ...". The CSV loaders and EventAggregator::Build check the ticks they
+/// read before sizing.
 Status CheckTickExtent(size_t d, size_t l, size_t max_tick,
                        const std::string& context);
 

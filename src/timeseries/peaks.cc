@@ -7,8 +7,21 @@
 
 namespace dspot {
 
-std::vector<Burst> FindBursts(const Series& residual,
-                              const BurstOptions& options) {
+namespace {
+
+/// A burst begins where the residual exceeds mean + kThresholdSigmas *
+/// stddev of the positive part of the residual.
+constexpr double kThresholdSigmas = 2.0;
+/// Bursts are extended while the residual stays above this fraction of
+/// the entry threshold.
+constexpr double kSustainFraction = 0.4;
+/// Minimum / maximum admissible widths.
+constexpr size_t kMinWidth = 1;
+constexpr size_t kMaxWidth = 26;
+
+}  // namespace
+
+std::vector<Burst> FindBursts(const Series& residual) {
   const size_t n = residual.size();
   // Threshold from the positive residual mass only: negative residuals are
   // fitting artifacts, not burst evidence.
@@ -24,8 +37,8 @@ std::vector<Burst> FindBursts(const Series& residual,
   }
   const double mu = Mean(positive);
   const double sd = StdDev(positive);
-  const double enter = mu + options.threshold_sigmas * std::max(sd, 1e-12);
-  const double sustain = enter * options.sustain_fraction;
+  const double enter = mu + kThresholdSigmas * std::max(sd, 1e-12);
+  const double sustain = enter * kSustainFraction;
 
   std::vector<Burst> bursts;
   size_t t = 0;
@@ -41,7 +54,7 @@ std::vector<Burst> FindBursts(const Series& residual,
     b.mass = 0.0;
     size_t end = t;
     while (end < n && residual.IsObserved(end) && residual[end] >= sustain &&
-           end - b.start < options.max_width) {
+           end - b.start < kMaxWidth) {
       b.mass += residual[end];
       if (residual[end] > b.peak_value) {
         b.peak_value = residual[end];
@@ -49,17 +62,15 @@ std::vector<Burst> FindBursts(const Series& residual,
       }
       ++end;
     }
-    b.width = std::max(end - b.start, options.min_width);
-    if (b.width >= options.min_width) {
-      bursts.push_back(b);
-    }
+    b.width = std::max(end - b.start, kMinWidth);
+    bursts.push_back(b);
     t = end + 1;
   }
   std::sort(bursts.begin(), bursts.end(), [](const Burst& a, const Burst& b) {
     return a.peak_value > b.peak_value;
   });
-  if (bursts.size() > options.max_bursts) {
-    bursts.resize(options.max_bursts);
+  if (bursts.size() > kMaxBursts) {
+    bursts.resize(kMaxBursts);
   }
   return bursts;
 }

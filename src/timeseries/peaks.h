@@ -21,26 +21,13 @@ struct Burst {
   double mass = 0.0;
 };
 
-/// Options for burst extraction.
-struct BurstOptions {
-  /// A burst begins where the residual exceeds mean + threshold_sigmas *
-  /// stddev of the positive part of the residual.
-  double threshold_sigmas = 2.0;
-  /// Bursts are extended while the residual stays above this fraction of
-  /// the entry threshold.
-  double sustain_fraction = 0.4;
-  /// Minimum / maximum admissible widths.
-  size_t min_width = 1;
-  size_t max_width = 26;
-  /// Maximum number of bursts returned (strongest first).
-  size_t max_bursts = 32;
-};
+/// Maximum number of bursts FindBursts returns (strongest first).
+inline constexpr size_t kMaxBursts = 32;
 
 /// Extracts positive bursts from `residual` (typically data minus current
-/// model estimate). Returned strongest-peak first. Missing entries break
-/// bursts.
-std::vector<Burst> FindBursts(const Series& residual,
-                              const BurstOptions& options = BurstOptions());
+/// model estimate). Returned strongest-peak first, at most kMaxBursts.
+/// Missing entries break bursts.
+std::vector<Burst> FindBursts(const Series& residual);
 
 /// True iff a burst near tick `t` (within `tolerance`) exists in `bursts`.
 bool HasBurstNear(const std::vector<Burst>& bursts, size_t t,

@@ -94,6 +94,30 @@ if(NOT rc EQUAL 1 OR
   message(FATAL_ERROR "expected exit 1 naming the tick, got rc=${rc}:\n${err}")
 endif()
 
+# A tick of 2^50 sizes a tensor a vector could hold but no host's memory
+# can; each loader once aborted with std::bad_alloc (exit 134). Now each
+# refuses the tick before sizing, exit 1.
+set(past_memory_series "${WORK_DIR}/past_memory_series.csv")
+file(WRITE "${past_memory_series}" "tick,value\n0,1\n1125899906842624,2\n")
+set(past_memory_tensor "${WORK_DIR}/past_memory_tensor.csv")
+file(WRITE "${past_memory_tensor}" "keyword,location,tick,value\n"
+     "foo,US,0,2\nfoo,US,1125899906842624,2\n")
+set(past_memory_events "${WORK_DIR}/past_memory_events.csv")
+file(WRITE "${past_memory_events}" "keyword,location,timestamp\n"
+     "foo,US,0\nfoo,US,1125899906842624\n")
+foreach(command "fit;--series;${past_memory_series}"
+                "fit-tensor;--input;${past_memory_tensor}"
+                "aggregate;--events;${past_memory_events};--output;${WORK_DIR}/past_memory_out.csv")
+  execute_process(COMMAND "${DSPOT_CLI}" ${command}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "tick 1125899906842624 is out of range")
+    message(FATAL_ERROR
+            "${command}: expected exit 1 naming the tick, got rc=${rc}:\n${err}")
+  endif()
+endforeach()
+
 # --- Generate + observed fit -------------------------------------------------
 expect_success("${DSPOT_CLI}" generate --scenario harry_potter
                --output "${tensor_csv}" --ticks 120 --locations 3)

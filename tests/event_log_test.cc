@@ -149,6 +149,23 @@ TEST(EventLog, CsvRejectsATickTooLargeToAllocate) {
       << status.message();
 }
 
+// A tick of 2^50 sizes a tensor a vector could hold but no host's memory
+// can; the aggregation used to abort with std::bad_alloc.
+TEST(EventLog, CsvRejectsATickPastMemory) {
+  const std::string path = ::testing::TempDir() + "/events_past_memory.csv";
+  {
+    std::ofstream os(path);
+    os << "keyword,location,timestamp,count\n";
+    os << "foo,US,0,1\n";
+    os << "foo,US,1125899906842624,2\n";
+  }
+  const Status status = LoadAndAggregateEventsCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("EventAggregator: tick 1125899906842624"),
+            std::string::npos)
+      << status.message();
+}
+
 // Regression: INT64_MAX after an origin of -10 overflowed
 // `timestamp - origin`. The aggregator now gets the true distance,
 // 2^63 + 9 ticks: past max_ticks the row is dropped, and without a cap

@@ -319,7 +319,7 @@ TEST_F(GuardTest, LmRestartRecoveryIsDeterministic) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Bit-identical, not merely close: restarts draw their jitter from
-  // Random(restart_seed).Child(attempt), a pure function of the options.
+  // Random(kRestartSeed).Child(attempt), a pure function of the start.
   EXPECT_EQ(a->params, b->params);
   EXPECT_EQ(a->final_cost, b->final_cost);
   EXPECT_EQ(a->health.restarts, b->health.restarts);

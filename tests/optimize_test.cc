@@ -253,7 +253,7 @@ std::vector<SivLmCase> LockstepCases() {
   cases.back().poisoned = cases.back().initial;
   cases.push_back(MakeSivCase({250.0, 0.6, 0.45, 0.5, 1.5}, 50,
                               {150.0, 0.3, 0.2, 0.4, 3.0}));
-  cases.back().options.max_lambda = cases.back().options.initial_lambda;
+  cases.back().options.max_lambda = kLmInitialLambda;
   cases.push_back(MakeSivCase({800.0, 0.9, 0.7, 0.1, 4.0}, 10,
                               {600.0, 0.5, 0.5, 0.5, 1.0}));
   cases.back().options.max_iterations = 4;

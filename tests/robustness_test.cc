@@ -302,7 +302,7 @@ TEST(Robustness, SkipAndReportKeepsGoodKeywords) {
   EXPECT_FALSE(FitDspot(tensor, fail_options).ok());
 
   DspotOptions skip_options;
-  skip_options.on_keyword_error = KeywordErrorPolicy::kSkipAndReport;
+  skip_options.global.on_keyword_error = KeywordErrorPolicy::kSkipAndReport;
   auto fit = FitDspot(tensor, skip_options);
   ASSERT_TRUE(fit.ok()) << fit.status().ToString();
   EXPECT_FALSE(fit->AllKeywordsOk());
@@ -335,7 +335,7 @@ TEST(Robustness, FaultInjectionMatrixFailsCleanly) {
           /*rate=*/0.02);
       DspotOptions options;
       options.num_threads = threads;
-      options.on_keyword_error = KeywordErrorPolicy::kSkipAndReport;
+      options.global.on_keyword_error = KeywordErrorPolicy::kSkipAndReport;
       auto fit = FitDspot(tensor, options);
       FaultInjector::Instance().Disarm();
       if (fit.ok()) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/params.h"
 #include "core/simulate.h"
@@ -31,6 +32,11 @@ TEST(SimulateSiv, PopulationConservedExactly) {
         traj.susceptible[t] + traj.infective[t] + traj.vigilant[t];
     ASSERT_NEAR(total, 100.0, 1e-9) << "at tick " << t;
   }
+  // The trajectory is the fits' kernel run, resumed tick by tick.
+  const Series infective = SimulateSiv(in, 200);
+  EXPECT_EQ(std::memcmp(traj.infective.values().data(),
+                        infective.values().data(), 200 * sizeof(double)),
+            0);
 }
 
 TEST(SimulateSiv, CompartmentsNonNegative) {

@@ -153,7 +153,7 @@ TEST(Snapshot, WarmStartRefitUsesFewerLmIterations) {
 
   ObsRegistry::Instance().Reset();
   DspotOptions options;
-  options.warm_start = &loaded->params;
+  options.global.warm_start = &loaded->params;
   auto warm = FitDspot(fitted.tensor, options);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   const ObsSnapshot warm_obs = ObsRegistry::Instance().Snapshot();
@@ -174,7 +174,7 @@ TEST(Snapshot, WarmStartRejectsShrinkingTensor) {
   ModelParamSet params = fitted.result.params;
   params.num_ticks = fitted.tensor.num_ticks() + 1;  // claims more history
   DspotOptions options;
-  options.warm_start = &params;
+  options.global.warm_start = &params;
   auto fit = FitDspot(fitted.tensor, options);
   ASSERT_FALSE(fit.ok());
   EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);

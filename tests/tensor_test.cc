@@ -305,6 +305,22 @@ TEST(TensorIo, LoadRejectsATickTooLargeToAllocate) {
       << status.message();
 }
 
+// A tick of 2^50 sizes a tensor a vector could hold but no host's memory
+// can; the load used to abort with std::bad_alloc.
+TEST(TensorIo, LoadRejectsATickPastMemory) {
+  const std::string path = TempPath("tensor_past_memory_tick.csv");
+  std::ofstream os(path);
+  os << "keyword,location,tick,value\n";
+  os << "foo,US,0,2\n";
+  os << "foo,US,1125899906842624,2\n";
+  os.close();
+  const Status status = LoadTensorCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ": tick 1125899906842624"),
+            std::string::npos)
+      << status.message();
+}
+
 // A tick strtoll cannot hold used to read as INT64_MAX (ERANGE was never
 // checked) and abort the load with std::length_error. It is unparseable.
 TEST(TensorIo, LoadRejectsATickPastInt64AsUnparseable) {
@@ -332,6 +348,18 @@ TEST(TensorIo, SeriesLoadRejectsATickTooLargeToAllocate) {
       << status.message();
 }
 
+TEST(TensorIo, SeriesLoadRejectsATickPastMemory) {
+  const std::string path = TempPath("series_past_memory_tick.csv");
+  std::ofstream os(path);
+  os << "tick,value\n0,1\n1125899906842624,2\n";
+  os.close();
+  const Status status = LoadSeriesCsv(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path + ": tick 1125899906842624"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(ActivityTensor, CheckTickExtentRejectsOverflowAndOversize) {
   EXPECT_TRUE(CheckTickExtent(2, 3, 100, "ctx").ok());
   // d * l * (max tick + 1) wraps size_t to 0.
@@ -344,10 +372,19 @@ TEST(ActivityTensor, CheckTickExtentRejectsOverflowAndOversize) {
             StatusCode::kInvalidArgument);
   // No wrap, but more cells than a vector<double> can hold.
   const size_t max_cells = std::vector<double>().max_size();
-  EXPECT_TRUE(CheckTickExtent(1, 1, max_cells - 1, "ctx").ok());
   EXPECT_EQ(CheckTickExtent(1, 1, max_cells, "ctx").code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(CheckTickExtent(2, 1, max_cells / 2, "ctx").code(),
+            StatusCode::kInvalidArgument);
+  // A vector could hold 2^50 cells, but their 8 PiB exceed any host's
+  // memory; the check allocates nothing.
+  const Status oversize = CheckTickExtent(1, 1, size_t{1} << 50, "ctx");
+  EXPECT_EQ(oversize.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oversize.message().rfind("ctx: tick 1125899906842624", 0), 0u)
+      << oversize.message();
+  EXPECT_NE(oversize.message().find("physical memory"), std::string::npos)
+      << oversize.message();
+  EXPECT_EQ(CheckTickExtent(1, 1, max_cells - 1, "ctx").code(),
             StatusCode::kInvalidArgument);
 }
 

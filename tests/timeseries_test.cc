@@ -290,11 +290,16 @@ TEST(Peaks, HasBurstNearTolerance) {
 }
 
 TEST(Peaks, RespectsMaxBursts) {
-  Series residual(200);
-  for (size_t t = 5; t < 200; t += 10) residual[t] = 100.0;
-  BurstOptions options;
-  options.max_bursts = 3;
-  EXPECT_EQ(FindBursts(residual, options).size(), 3u);
+  // More single-tick bursts than the cap, each taller than the last.
+  constexpr size_t kPlanted = kMaxBursts + 8;
+  Series residual(10 * kPlanted);
+  for (size_t k = 0; k < kPlanted; ++k) {
+    residual[10 * k + 5] = 100.0 + static_cast<double>(k);
+  }
+  const std::vector<Burst> bursts = FindBursts(residual);
+  ASSERT_EQ(bursts.size(), kMaxBursts);
+  // The cap keeps the strongest: the eight shortest are dropped.
+  EXPECT_EQ(bursts.back().start, 10u * 8 + 5);
 }
 
 }  // namespace

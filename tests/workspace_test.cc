@@ -1,13 +1,13 @@
 // Regression tests for the zero-allocation workspace pipeline:
 //
 //  * bit-identity between the buffer-writing kernels and the allocating
-//    wrappers they replaced on the hot paths (SimulateSivInto vs
+//    wrappers they replaced on the hot paths (SimulateSivScalarInto vs
 //    SimulateSiv, workspace LevenbergMarquardt vs the allocating overload,
 //    workspace TotalCostBits vs the plain one);
 //  * ScheduleCache serves exactly what the builders produce and rebuilds
 //    when its inputs change;
 //  * an operator-new counting hook proving that warm workspace-based LM
-//    iterations and SimulateSivInto calls allocate nothing.
+//    iterations and SimulateSivScalarInto calls allocate nothing.
 
 #include <gtest/gtest.h>
 
@@ -159,10 +159,10 @@ TEST(WorkspaceIdentity, SimulateSivIntoMatchesSimulateSiv) {
 
   const Series reference = SimulateSiv(inputs, n);
 
-  const SivDynamics dynamics{inputs.population, inputs.beta, inputs.delta,
-                             inputs.gamma, inputs.i0};
+  const kernels::SivParams params{inputs.population, inputs.beta,
+                                  inputs.delta, inputs.gamma, inputs.i0};
   std::vector<double> buffer(n);
-  SimulateSivInto(dynamics, inputs.epsilon, inputs.eta, buffer);
+  kernels::SimulateSivScalarInto(params, inputs.epsilon, inputs.eta, buffer);
   ASSERT_EQ(reference.size(), buffer.size());
   for (size_t t = 0; t < n; ++t) {
     EXPECT_EQ(reference[t], buffer[t]) << "tick " << t;
@@ -173,7 +173,7 @@ TEST(WorkspaceIdentity, SimulateSivIntoMatchesSimulateSiv) {
   plain.epsilon.clear();
   plain.eta.clear();
   const Series plain_reference = SimulateSiv(plain, n);
-  SimulateSivInto(dynamics, {}, {}, buffer);
+  kernels::SimulateSivScalarInto(params, {}, {}, buffer);
   for (size_t t = 0; t < n; ++t) {
     EXPECT_EQ(plain_reference[t], buffer[t]) << "tick " << t;
   }
@@ -311,14 +311,14 @@ TEST(WorkspaceAllocation, WarmSimulateSivIntoAllocatesNothing) {
   std::vector<double> epsilon(n, 1.0);
   for (size_t t = 50; t < 55; ++t) epsilon[t] += 2.0;
   const std::vector<double> eta = BuildEta(0.015, 60, n);
-  const SivDynamics dynamics{600.0, 0.35, 0.1, 0.05, 2.0};
+  const kernels::SivParams params{600.0, 0.35, 0.1, 0.05, 2.0};
   std::vector<double> out(n);
 
-  SimulateSivInto(dynamics, epsilon, eta, out);  // warm-up (no-op here)
+  kernels::SimulateSivScalarInto(params, epsilon, eta, out);  // warm-up
 
   AllocationCounter counter;
   for (int rep = 0; rep < 100; ++rep) {
-    SimulateSivInto(dynamics, epsilon, eta, out);
+    kernels::SimulateSivScalarInto(params, epsilon, eta, out);
   }
   EXPECT_EQ(counter.count(), 0u);
 }

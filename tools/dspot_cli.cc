@@ -385,7 +385,7 @@ int CmdFitTensor(const Flags& flags) {
   options.num_threads = static_cast<size_t>(threads);
   options.time_budget_ms = static_cast<double>(time_budget_ms);
   if (flags.Has("--skip-bad-keywords")) {
-    options.on_keyword_error = KeywordErrorPolicy::kSkipAndReport;
+    options.global.on_keyword_error = KeywordErrorPolicy::kSkipAndReport;
   }
   const ObsExportRequest obs_export = ObsExportRequest::FromFlags(flags);
   auto result = FitDspot(*tensor, options);
@@ -515,7 +515,7 @@ int CmdRefit(const Flags& flags) {
   options.time_budget_ms = static_cast<double>(time_budget_ms);
   const bool cold = flags.Has("--cold");
   if (!cold) {
-    options.warm_start = &model->params;
+    options.global.warm_start = &model->params;
   }
   const ObsExportRequest obs_export = ObsExportRequest::FromFlags(flags);
 
